@@ -160,23 +160,25 @@ class _FeasibleSet:
         col_bal = np.bincount(self.cols, weights=self.pi_rows * x, minlength=self.n)
         return np.concatenate([row_sums, col_bal])
 
-    def affine_residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.constraint_values(x) - self.b)))
-
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        lam = self.m_pinv @ (self.constraint_values(x) - self.b)
+    def project_affine(self, x: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Project x onto the affine set, given gap = constraint_values(x) - b."""
+        lam = self.m_pinv @ gap
         return x - (lam[: self.n][self.rows] + self.pi_rows * lam[self.n:][self.cols])
 
     def dykstra(self, x: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+        # one constraint evaluation per sweep: the gap of the sweep's result
+        # serves both its residual test and the next sweep's projection
         correction = np.zeros_like(x)
+        gap = self.constraint_values(x) - self.b
         for _ in range(max_sweeps):
-            y = self.project_affine(x)
+            y = self.project_affine(x, gap)
             shifted = y + correction
             x = np.maximum(shifted, 0.0)
             correction = shifted - x
-            if self.affine_residual(x) <= tol:
+            gap = self.constraint_values(x) - self.b
+            if np.max(np.abs(gap)) <= tol:
                 return x
-        if self.affine_residual(x) <= TOL.feasibility:
+        if np.max(np.abs(gap)) <= TOL.feasibility:
             return x
         raise SolverError(
             f"projection failed to reach feasibility within {TOL.feasibility:g} "

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from age_patrol import (SolverOptions, TOL, TransitionMatrix, build_fastest_mixing, build_mh,
-                        check_irreducible, design_objective, generate_ring_k,
+from age_patrol import (SolverOptions, SolverError, TOL, TransitionMatrix, assign_weights,
+                        build_fastest_mixing, build_mh, check_irreducible, design_objective,
+                        generate_grid_diag, generate_random_geometric, generate_ring_k,
                         stationary_distribution, target_distribution, validate_design)
+from age_patrol.trajectory_design import _FeasibleSet
 from conftest import make_complete, make_star
 
 
@@ -166,3 +168,41 @@ def test_design_json_round_trip(triangle):
     clone = DesignResult.from_json(design.to_json())
     assert np.allclose(clone.matrix.p, design.matrix.p)
     assert np.allclose(clone.target_pi, design.target_pi)
+
+
+def _reference_dykstra(feas, x, tol, max_sweeps):
+    """Dykstra as first written: the projection and the residual test each
+    evaluate the constraints, so every sweep evaluates them twice."""
+    def residual(v):
+        return float(np.max(np.abs(feas.constraint_values(v) - feas.b)))
+
+    correction = np.zeros_like(x)
+    for _ in range(max_sweeps):
+        y = feas.project_affine(x, feas.constraint_values(x) - feas.b)
+        shifted = y + correction
+        x = np.maximum(shifted, 0.0)
+        correction = shifted - x
+        if residual(x) <= tol:
+            return x
+    if residual(x) <= TOL.feasibility:
+        return x
+    raise SolverError("reference projection failed")
+
+
+@pytest.mark.parametrize("g", [
+    assign_weights(generate_random_geometric(30, 2.0 / np.sqrt(30), seed=4),
+                   "random_interval", seed=5),
+    assign_weights(generate_grid_diag(5), "random_interval", seed=6),
+    assign_weights(generate_ring_k(21, 3), "random_interval", seed=7),
+], ids=["geometric", "grid", "ring"])
+def test_dykstra_matches_two_evaluation_reference(g):
+    mh = build_mh(g)
+    feas = _FeasibleSet(g, mh.target_pi)
+    x0 = feas.gather(mh.matrix.p)
+    rng = np.random.default_rng(9)
+    for scale in (1e-3, 1e-2, 1e-1):
+        x = x0 - scale * rng.standard_normal(x0.shape)
+        for tol in (1e-9, 1e-10):
+            got = feas.dykstra(x, tol, 1000)
+            want = _reference_dykstra(feas, x, tol, 1000)
+            assert np.array_equal(got, want)
