@@ -5,7 +5,7 @@ from age_patrol import (SolverOptions, SolverError, TOL, TransitionMatrix, assig
                         build_fastest_mixing, build_mh, check_irreducible, design_objective,
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
                         stationary_distribution, target_distribution, validate_design)
-from age_patrol.trajectory_design import _FeasibleSet
+from age_patrol.trajectory_design import _RITZ_RTOL, _FeasibleSet, _TopSingularPair
 from conftest import make_complete, make_star
 
 
@@ -206,3 +206,59 @@ def test_dykstra_matches_two_evaluation_reference(g):
             got = feas.dykstra(x, tol, 1000)
             want = _reference_dykstra(feas, x, tol, 1000)
             assert np.array_equal(got, want)
+
+
+def _top_pair_residual(d, u1, v1, s1):
+    return np.linalg.norm(d.T @ u1 - s1 * v1)
+
+
+def test_top_pair_matches_full_svd_on_random_matrices():
+    rng = np.random.default_rng(31)
+    for n in (5, 20, 60):
+        top_pair = _TopSingularPair()
+        d = rng.standard_normal((n, n))
+        for _ in range(5):
+            d = d + 1e-5 * rng.standard_normal((n, n))
+            u1, v1, s1 = top_pair(d)
+            exact = np.linalg.svd(d, compute_uv=False)[0]
+            assert s1 == pytest.approx(exact, rel=1e-10)
+            assert _top_pair_residual(d, u1, v1, s1) <= _RITZ_RTOL * s1
+            assert np.linalg.norm(d @ v1 - s1 * u1) <= _RITZ_RTOL * s1
+        # only the cold start needed the full SVD
+        assert top_pair.fallbacks == 1
+
+
+def test_top_pair_on_ring_circulant_with_repeated_top_value():
+    # odd ring: eigenvalues cos(2 pi j / 13), top modulus at j = 6 and 7
+    g = generate_ring_k(13, 1)
+    mh = build_mh(g)
+    d = mh.matrix.p - np.tile(mh.target_pi, (g.n, 1))
+    exact = np.linalg.svd(d, compute_uv=False)
+    assert exact[0] - exact[1] <= 1e-12    # the top value repeats
+    top_pair = _TopSingularPair()
+    top_pair(d + 1e-5 * np.random.default_rng(37).standard_normal(d.shape))
+    u1, v1, s1 = top_pair(d)
+    assert top_pair.fallbacks == 1
+    assert s1 == pytest.approx(exact[0], rel=1e-10)
+    assert _top_pair_residual(d, u1, v1, s1) <= _RITZ_RTOL * s1
+
+
+def test_top_pair_falls_back_to_exact_svd():
+    rng = np.random.default_rng(41)
+    n = 40
+    top_pair = _TopSingularPair()
+    d = rng.standard_normal((n, n))
+    u, s, vt = np.linalg.svd(d)
+    # the cold start is answered by the full SVD itself
+    u1, v1, s1 = top_pair(d)
+    assert top_pair.fallbacks == 1
+    assert np.array_equal(u1, u[:, 0]) and np.array_equal(v1, vt[0]) and s1 == s[0]
+    # a nearly flat spectrum with fresh singular vectors: the warm block
+    # cannot converge in a few steps, so the exact SVD answers again
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    flat = (q1 * np.linspace(1.0, 0.99, n)) @ q2.T
+    u, s, vt = np.linalg.svd(flat)
+    u1, v1, s1 = top_pair(flat)
+    assert top_pair.fallbacks == 2
+    assert np.array_equal(u1, u[:, 0]) and np.array_equal(v1, vt[0]) and s1 == s[0]
