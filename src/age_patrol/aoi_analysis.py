@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +124,3 @@ def factor_report(report: AgeReport, *, measured_network_avg: float | None = Non
         "peak_over_optimal": peak / report.peak_opt_value,
         "avg_within_upper_bound": avg <= report.upper_bound_avg,
     }
-
-
-def report_to_json_str(report: AgeReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)

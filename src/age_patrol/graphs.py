@@ -96,6 +96,8 @@ def _validate(g: MobilityGraph) -> None:
         raise GraphValidationError("graph needs at least 2 terminals")
     if g.weights.shape != (g.n,):
         raise GraphValidationError("weights length must equal the terminal count")
+    if not np.all(np.isfinite(g.weights)):
+        raise GraphValidationError("weights must be finite")
     if not np.all(g.weights > 0):
         raise GraphValidationError("weight must be positive")
     for i, j in g.edges:
@@ -105,6 +107,8 @@ def _validate(g: MobilityGraph) -> None:
             raise GraphValidationError(f"self-loops are not allowed: ({i}, {j})")
     if g.coords is not None and g.coords.shape != (g.n, 2):
         raise GraphValidationError("coords must be an (n, 2) array")
+    if g.coords is not None and not np.all(np.isfinite(g.coords)):
+        raise GraphValidationError("coords must be finite")
     if not _strongly_connected(g.n, g.edges):
         raise DisconnectedGraphError("graph is not strongly connected")
 

@@ -31,7 +31,7 @@ _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix; entries must be nonnegative (no tolerance)."""
+    """Row-stochastic matrix; entries must be finite and nonnegative (no tolerance)."""
 
     p: np.ndarray
 
@@ -39,6 +39,8 @@ class TransitionMatrix:
         p = np.array(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("transition matrix entries must be finite")
         if np.any(p < 0):
             raise ValueError("transition matrix entries must be nonnegative")
         rows = p.sum(axis=1)

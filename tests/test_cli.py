@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from age_patrol import load_graph
-from age_patrol.cli import RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
+from age_patrol.cli import EXIT_VALIDATION, RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
 
 
 @pytest.fixture
@@ -254,3 +254,19 @@ def test_missing_graph_file_is_validation_error(runner, tmp_path):
     missing.write_text("{}")
     result = runner.invoke(main, ["design", "--graph", str(missing), "--method", "mh"])
     assert result.exit_code == 3
+
+
+def test_disseminate_rejects_design_with_nan(runner, tmp_path):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "9", "--k", "2", "-o", str(graph_path)])
+    design_path = tmp_path / "design.json"
+    invoke(runner, ["design", "--graph", str(graph_path), "--method", "mh",
+                    "-o", str(design_path)])
+    payload = json.loads(design_path.read_text())
+    payload["matrix"][0][0] = float("nan")
+    design_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["disseminate", "--graph", str(graph_path),
+                                  "--design", str(design_path), "--horizon", "1000",
+                                  "-o", str(tmp_path / "diss.csv")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "finite" in result.output

@@ -168,6 +168,16 @@ def test_load_rejects_garbage(tmp_path):
         load_graph(path)
 
 
+def test_graph_rejects_non_finite_weights_and_coords():
+    edges = {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
+    for weights in ([np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0]):
+        with pytest.raises(GraphValidationError, match="weights must be finite"):
+            MobilityGraph(3, edges, weights)
+    coords = [[0.0, 0.0], [np.nan, 0.5], [1.0, np.inf]]
+    with pytest.raises(GraphValidationError, match="coords must be finite"):
+        MobilityGraph(3, edges, [1.0, 1.0, 1.0], coords=coords)
+
+
 def test_graph_rejects_self_loop():
     with pytest.raises(GraphValidationError, match="self-loops"):
         MobilityGraph(2, {(0, 1), (1, 0), (0, 0)}, [1.0, 1.0])

@@ -26,6 +26,13 @@ def test_transition_matrix_rejects_negative_entry():
         TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
 
+def test_transition_matrix_rejects_non_finite_entry():
+    # NaN fails both the sign test and the row-sum test, so it needs its own check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TransitionMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
 def test_transition_matrix_rejects_bad_row_sum():
     with pytest.raises(ValueError, match="sum to 1"):
         TransitionMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
