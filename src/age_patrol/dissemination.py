@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from .markov import ChainAnalysis, TransitionMatrix, analyze
-from .simulation import AgeStats, _row_samplers, _WALK_BUFFER
+from .simulation import AgeStats, _check_window, _Recorder, _row_samplers, _sampler
 from .trajectory_design import DesignResult, SolverOptions, build_fastest_mixing
 
 EVENT_LOG_HORIZON_LIMIT = 100_000
@@ -151,73 +151,40 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     """
     if not 0 < lam < 1:
         raise ValueError("arrival probability must lie in (0, 1)")
-    if burn_in is None:
-        burn_in = horizon // 50
-    if not 0 <= burn_in < horizon:
-        raise ValueError("need horizon > burn_in >= 0")
+    burn_in = _check_window(horizon, burn_in)
     rng = np.random.default_rng(seed)
     arrivals = (np.flatnonzero(rng.random(horizon) < lam) + 1).tolist()
-    svc_cum = service.cumulative()
-    svc_vals = service.values
-    vac_cum = vacation.cumulative()
-    vac_vals = vacation.values
-    buf = rng.random(_WALK_BUFFER).tolist()
-    k = 0
-
-    def draw(cum, vals):
-        nonlocal buf, k
-        if k == _WALK_BUFFER:
-            buf = rng.random(_WALK_BUFFER).tolist()
-            k = 0
-        u = buf[k]
-        k += 1
-        pos = bisect_right(cum, u)
-        return vals[pos] if pos < len(vals) else vals[-1]
+    draw = _sampler(rng)
+    svc = (service.cumulative(), service.values)
+    vac = (vacation.cumulative(), vacation.values)
+    rec = _Recorder(1, horizon, burn_in)
+    deliver = rec.deliver
 
     ptr = 0
     n_arr = len(arrivals)
     serving = False
     head_gen = 0
-    remaining = draw(vac_cum, vac_vals)
-    base = 0       # generation slot of the last delivered packet
-    seg = 0        # slot of the last delivery
-    age_sum = 0
-    peak_sum = 0
-    peak_count = 0
-
+    remaining = draw(vac)
     for t in range(1, horizon + 1):
         remaining -= 1
         if remaining > 0:
             continue
         if serving:
-            # delivery in slot t; the age peaked at t - base
-            lo = seg if seg > burn_in else burn_in
-            if t > lo:
-                count = t - lo
-                age_sum += count * ((lo + 1 - base) + (t - base)) // 2
-            if t > burn_in:
-                peak_sum += t - base
-                peak_count += 1
-            base = head_gen
-            seg = t
+            deliver(0, t, head_gen)
         if ptr < n_arr and arrivals[ptr] <= t:
             head_gen = arrivals[ptr]
             ptr += 1
             serving = True
-            remaining = draw(svc_cum, svc_vals)
+            remaining = draw(svc)
         else:
             serving = False
-            remaining = draw(vac_cum, vac_vals)
+            remaining = draw(vac)
 
-    lo = seg if seg > burn_in else burn_in
-    if horizon > lo:
-        count = horizon - lo
-        age_sum += count * ((lo + 1 - base) + (horizon - base)) // 2
-    window = horizon - burn_in
+    stats = rec.finish(np.ones(1))
     return VacationQueueStats(
-        empirical_peak=peak_sum / peak_count if peak_count else math.nan,
-        empirical_avg=age_sum / window,
-        n_deliveries=peak_count,
+        empirical_peak=float(stats.per_terminal_peak[0]),
+        empirical_avg=stats.network_avg,
+        n_deliveries=int(stats.n_peaks[0]),
         horizon=horizon,
         burn_in=burn_in,
     )
@@ -349,10 +316,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
         raise ValueError("policy dimension does not match the graph")
     if np.any(policy.rates < 0) or np.any(policy.rho >= 1):
         raise StabilityError("need 0 <= lambda_i and rho_i < 1 for every terminal")
-    if burn_in is None:
-        burn_in = horizon // 50
-    if not 0 <= burn_in < horizon:
-        raise ValueError("need horizon > burn_in >= 0")
+    burn_in = _check_window(horizon, burn_in)
     if record_events and horizon > EVENT_LOG_HORIZON_LIMIT:
         raise ValueError(f"event logs are limited to horizons <= {EVENT_LOG_HORIZON_LIMIT}")
     if not 0 <= start < n:
@@ -362,15 +326,11 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     arrivals = [(np.flatnonzero(rng.random(horizon) < lam) + 1).tolist()
                 for lam in policy.rates]
     samplers = _row_samplers(policy.matrix.p)
-    buf = rng.random(_WALK_BUFFER).tolist()
-    k = 0
+    draw = _sampler(rng)
+    rec = _Recorder(n, horizon, burn_in)
+    deliver = rec.deliver
 
     ptr = [0] * n
-    base = [0] * n
-    seg = [0] * n
-    age_sum = [0] * n
-    peak_sum = [0] * n
-    peak_count = [0] * n
     events = [] if record_events else None
     warned = False
     check_mask = (1 << 14) - 1
@@ -382,25 +342,10 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
         if p < len(arr) and arr[p] <= t:
             gen = arr[p]
             ptr[cur] = p + 1
-            lo = seg[cur] if seg[cur] > burn_in else burn_in
-            if t > lo:
-                count = t - lo
-                age_sum[cur] += count * ((lo + 1 - base[cur]) + (t - base[cur])) // 2
-            if t > burn_in:
-                peak_sum[cur] += t - base[cur]
-                peak_count[cur] += 1
-            base[cur] = gen
-            seg[cur] = t
+            deliver(cur, t, gen)
             if record_events:
                 events.append((t, "deliver", cur, gen))
-        if k == _WALK_BUFFER:
-            buf = rng.random(_WALK_BUFFER).tolist()
-            k = 0
-        u = buf[k]
-        k += 1
-        cum, idx = samplers[cur]
-        pos = bisect_right(cum, u)
-        cur = idx[pos] if pos < len(idx) else idx[-1]
+        cur = draw(samplers[cur])
         if record_events:
             events.append((t, "move", cur, None))
         if not warned and t & check_mask == 0:
@@ -414,27 +359,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
                     warned = True
                     break
 
-    for i in range(n):
-        lo = seg[i] if seg[i] > burn_in else burn_in
-        if horizon > lo:
-            count = horizon - lo
-            age_sum[i] += count * ((lo + 1 - base[i]) + (horizon - base[i])) // 2
-
-    window = horizon - burn_in
-    counts = np.array(peak_count, dtype=int)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        peaks = np.array(peak_sum, dtype=float) / counts
-    peaks[counts == 0] = np.nan
-    avg = np.array(age_sum, dtype=float) / window
-    stats = AgeStats(
-        per_terminal_peak=peaks,
-        per_terminal_avg=avg,
-        n_peaks=counts,
-        network_peak=float(np.sum(g.weights * peaks)),
-        network_avg=float(np.sum(g.weights * avg)),
-        horizon=horizon,
-        burn_in=burn_in,
-    )
+    stats = rec.finish(g.weights)
     if record_events:
         for i, arr in enumerate(arrivals):
             events.extend((a, "arrive", i, a) for a in arr)

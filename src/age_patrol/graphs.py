@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -67,19 +66,18 @@ class MobilityGraph:
         return replace(self, weights=np.asarray(weights, dtype=float))
 
 
-def _reachable(n: int, adjacency: list, source: int) -> int:
-    seen = bytearray(n)
-    seen[source] = 1
-    queue = deque([source])
-    count = 1
-    while queue:
-        u = queue.popleft()
+def bfs_distances(adjacency, source: int) -> list:
+    """Hop distances from source along the adjacency lists; -1 marks unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
         for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
+            if dist[v] < 0:
+                dist[v] = d
                 queue.append(v)
-    return count
+    return dist
 
 
 def _strongly_connected(n: int, edges) -> bool:
@@ -88,7 +86,7 @@ def _strongly_connected(n: int, edges) -> bool:
     for i, j in edges:
         fwd[i].append(j)
         bwd[j].append(i)
-    return _reachable(n, fwd, 0) == n and _reachable(n, bwd, 0) == n
+    return -1 not in bfs_distances(fwd, 0) and -1 not in bfs_distances(bwd, 0)
 
 
 def _validate(g: MobilityGraph) -> None:

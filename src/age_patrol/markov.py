@@ -18,13 +18,13 @@ exactly testable O(n^3) solves beat iterative machinery.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import TOL
 from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
+from .graphs import bfs_distances
 
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 
@@ -97,26 +97,10 @@ class ChainAnalysis:
 
 def check_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support digraph of P is strongly connected."""
-    p = P.p
-    n = P.n
-    fwd = [np.nonzero(p[i] > 0)[0] for i in range(n)]
-    bwd = [np.nonzero(p[:, j] > 0)[0] for j in range(n)]
-
-    def full(adj):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(int(v))
-        return count == n
-
-    return full(fwd) and full(bwd)
+    support = P.p > 0
+    fwd = [np.flatnonzero(row).tolist() for row in support]
+    bwd = [np.flatnonzero(col).tolist() for col in support.T]
+    return -1 not in bfs_distances(fwd, 0) and -1 not in bfs_distances(bwd, 0)
 
 
 def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
@@ -201,10 +185,6 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
         discrepancy=discrepancy_of(z, pi),
         slem=slem(P),
     )
-
-
-def discrepancy(analysis: ChainAnalysis) -> float:
-    return discrepancy_of(analysis.z, analysis.pi)
 
 
 def return_time_moments(analysis: ChainAnalysis, i: int) -> tuple:

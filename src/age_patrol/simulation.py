@@ -1,15 +1,19 @@
-"""Discrete-time simulation of information gathering on a mobility graph.
+"""One age engine for every simulator, and the gathering walkers built on it.
 
-One agent walks the graph, one move per slot.  Terminal ages start at 1,
-grow by 1 per slot, and reset to 1 on the slot after a visit; the age
-recorded at a visit slot equals the return time since the previous
-visit, so visit gaps and age peaks are the same numbers.
+A terminal's age is a ramp that grows by 1 per slot and resets when an
+update is delivered: delivering in slot t an update generated in slot G
+records the peak age t - base (base is the generation slot of the update
+delivered before) and restarts the ramp so that the age in slot t + 1 is
+t + 1 - G.  Gathering is the special case G = t (the agent collects a fresh
+update on every visit, so the age at a visit equals the return time);
+dissemination and the vacation queue deliver queued packets with G <= t.
+All of them call one recorder, `_Recorder.deliver(i, t, generated)`.
 
-The engine never touches per-terminal ages slot by slot: between two
-visits the age curve is an arithmetic ramp, so each visit contributes a
-closed-form (window-clipped) partial sum.  This keeps million-slot runs
-cheap while producing exactly the same statistics as a naive per-slot
-update.
+The recorder never touches ages slot by slot: each delivery adds the
+closed-form, window-clipped sum of the ramp it closes.  This keeps
+million-slot runs cheap while producing exactly the same statistics as a
+naive per-slot update.  Random walks and the queue's service and vacation
+lengths are drawn by one buffered inverse-CDF sampler, `_sampler`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aoi_analysis import average_age_lower_bound
-from .graphs import MobilityGraph
+from .graphs import MobilityGraph, bfs_distances
 from .markov import TransitionMatrix
 
 TRACE_HORIZON_LIMIT = 100_000
@@ -68,48 +72,50 @@ class AgeTrace:
 
 
 class _Recorder:
-    """Accumulates window-clipped age sums and visit peaks per terminal."""
+    """Window-clipped age sums and delivery peaks per terminal.
 
-    def __init__(self, n: int, horizon: int, burn_in: int, trace: bool):
+    Statistics cover slots in (burn_in, horizon].  `deliver` is a closure
+    over local lists rather than a method: it runs once per delivery in
+    the per-slot loops, where a bound-method call costs measurably more.
+    """
+
+    def __init__(self, n: int, horizon: int, burn_in: int):
         self.n = n
         self.horizon = horizon
         self.burn_in = burn_in
-        self.last_visit = [0] * n          # slot of most recent visit (0 = never)
-        self.age_sum = [0] * n
-        self.peak_sum = [0] * n
-        self.peak_count = [0] * n
-        self.trace = trace
-        self.visit_log = [] if trace else None
-        self.visit_slots = [[] for _ in range(n)] if trace else None
+        base = [0] * n     # generation slot of the last delivered update
+        last = [0] * n     # slot of the last delivery (0 = never)
+        age_sum = [0] * n
+        peak_sum = [0] * n
+        peak_count = [0] * n
 
-    def visit(self, i: int, t: int) -> None:
-        last = self.last_visit[i]
-        self._close_interval(i, last, t)
-        if t > self.burn_in:
-            self.peak_sum[i] += t - last
-            self.peak_count[i] += 1
-        self.last_visit[i] = t
-        if self.trace:
-            self.visit_slots[i].append(t)
+        def deliver(i: int, t: int, generated: int) -> None:
+            b = base[i]
+            lo = last[i] if last[i] > burn_in else burn_in
+            if t > lo:
+                # ages on (lo, t] form the ramp slot - b
+                age_sum[i] += (t - lo) * ((lo + 1 - b) + (t - b)) // 2
+            if t > burn_in:
+                peak_sum[i] += t - b
+                peak_count[i] += 1
+            base[i] = generated
+            last[i] = t
 
-    def _close_interval(self, i: int, a: int, b: int) -> None:
-        # ages on (a, b] form the ramp t - a; clip to the window (burn_in, horizon]
-        lo = a if a > self.burn_in else self.burn_in
-        if b > lo:
-            count = b - lo
-            first = lo + 1 - a
-            last = b - a
-            self.age_sum[i] += count * (first + last) // 2
+        self.deliver = deliver
+        self.last_delivery = last
+        self._sums = (age_sum, peak_sum, peak_count)
 
-    def finish(self, weights: np.ndarray) -> AgeStats:
-        for i in range(self.n):
-            self._close_interval(i, self.last_visit[i], self.horizon)
-        window = self.horizon - self.burn_in
-        avg = np.array(self.age_sum, dtype=float) / window
-        counts = np.array(self.peak_count, dtype=int)
+    def finish(self, weights) -> AgeStats:
+        """Close every open ramp at the horizon and return the statistics (call once)."""
+        age_sum, peak_sum, peak_count = self._sums
+        counts = np.array(peak_count, dtype=int)
         with np.errstate(invalid="ignore", divide="ignore"):
-            peaks = np.array(self.peak_sum, dtype=float) / counts
+            peaks = np.array(peak_sum, dtype=float) / counts
         peaks[counts == 0] = np.nan
+        # close the ramps still open at the horizon; the peaks are already read
+        for i in range(self.n):
+            self.deliver(i, self.horizon, self.horizon)
+        avg = np.array(age_sum, dtype=float) / (self.horizon - self.burn_in)
         return AgeStats(
             per_terminal_peak=peaks,
             per_terminal_avg=avg,
@@ -120,36 +126,35 @@ class _Recorder:
             burn_in=self.burn_in,
         )
 
-    def build_trace(self) -> AgeTrace:
-        horizon = self.horizon
-        ages = np.empty((horizon, self.n), dtype=np.int64)
-        peaks = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            prev = 0
-            for v in self.visit_slots[i] + [horizon + 1]:
-                hi = min(v, horizon)
-                if hi > prev:
-                    ages[prev:hi, i] = np.arange(prev + 1, hi + 1) - prev
-                if v <= horizon:
-                    peaks[i].append(v - prev)
-                prev = v
-        return AgeTrace(
-            horizon=horizon,
-            ages=ages,
-            visit_log=np.array(self.visit_log, dtype=int),
-            peaks=peaks,
-        )
+
+def _build_trace(n: int, visit_log: list) -> AgeTrace:
+    """Per-slot ages and visit peaks of a gathering run, rebuilt from its visit log."""
+    log = np.array(visit_log, dtype=int)
+    slots = np.arange(1, len(log) + 1)
+    ages = np.empty((len(log), n), dtype=np.int64)
+    peaks = []
+    for i in range(n):
+        visits = np.concatenate(([0], np.flatnonzero(log == i) + 1))
+        # the age in slot t counts from the last visit strictly before t
+        ages[:, i] = slots - visits[np.searchsorted(visits, slots) - 1]
+        peaks.append(np.diff(visits).tolist())
+    return AgeTrace(horizon=len(log), ages=ages, visit_log=log, peaks=peaks)
 
 
-def _default_burn_in(horizon: int) -> int:
-    return horizon // 50
+def _gathering_result(rec: _Recorder, g: MobilityGraph, log: list | None):
+    stats = rec.finish(g.weights)
+    return stats if log is None else (stats, _build_trace(g.n, log))
 
 
-def _check_window(horizon: int, burn_in: int | None) -> int:
+def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
+                  trace: bool = False) -> int:
+    """Resolve the default burn-in and validate the window (burn_in, horizon]."""
     if burn_in is None:
-        burn_in = _default_burn_in(horizon)
+        burn_in = horizon // 50 if default is None else default
     if not 0 <= burn_in < horizon:
         raise ValueError("need horizon > burn_in >= 0")
+    if trace and horizon > TRACE_HORIZON_LIMIT:
+        raise ValueError(f"traces are limited to horizons <= {TRACE_HORIZON_LIMIT}")
     return burn_in
 
 
@@ -159,6 +164,29 @@ def _row_samplers(p: np.ndarray) -> list:
         nz = np.nonzero(row)[0]
         samplers.append((np.cumsum(row[nz]).tolist(), nz.tolist()))
     return samplers
+
+
+def _sampler(rng: np.random.Generator):
+    """Return draw((cum, vals)): one inverse-CDF draw from buffered uniforms.
+
+    The buffer is filled on the first draw, so a caller that draws other
+    variates from rng first (arrivals) keeps them ahead of the walk buffer.
+    """
+    buf = None
+    k = _WALK_BUFFER
+
+    def draw(law):
+        nonlocal buf, k
+        if k == _WALK_BUFFER:
+            buf = rng.random(_WALK_BUFFER).tolist()
+            k = 0
+        u = buf[k]
+        k += 1
+        cum, vals = law
+        pos = bisect_right(cum, u)
+        return vals[pos] if pos < len(vals) else vals[-1]
+
+    return draw
 
 
 def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
@@ -174,35 +202,22 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
         raise ValueError("matrix dimension does not match the graph")
     if P.support_violations(g):
         raise ValueError("matrix places probability on non-edges of the graph")
-    burn_in = _check_window(horizon, burn_in)
-    if record_trace and horizon > TRACE_HORIZON_LIMIT:
-        raise ValueError(f"traces are limited to horizons <= {TRACE_HORIZON_LIMIT}")
+    burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
 
     samplers = _row_samplers(P.p)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(g.n, horizon, burn_in, record_trace)
+    draw = _sampler(np.random.default_rng(seed))
+    rec = _Recorder(g.n, horizon, burn_in)
+    deliver = rec.deliver
+    log = [] if record_trace else None
     cur = start
-    buf = rng.random(_WALK_BUFFER).tolist()
-    k = 0
     for t in range(1, horizon + 1):
-        rec.visit(cur, t)
+        deliver(cur, t, t)
         if record_trace:
-            rec.visit_log.append(cur)
-        if k == _WALK_BUFFER:
-            buf = rng.random(_WALK_BUFFER).tolist()
-            k = 0
-        u = buf[k]
-        k += 1
-        cum, idx = samplers[cur]
-        pos = bisect_right(cum, u)
-        cur = idx[pos] if pos < len(idx) else idx[-1]
-
-    stats = rec.finish(g.weights)
-    if record_trace:
-        return stats, rec.build_trace()
-    return stats
+            log.append(cur)
+        cur = draw(samplers[cur])
+    return _gathering_result(rec, g, log)
 
 
 def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: int = 50_000,
@@ -216,9 +231,7 @@ def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: 
     increasing callable.
     """
     del seed  # deterministic policy
-    burn_in = _check_window(horizon, burn_in)
-    if record_trace and horizon > TRACE_HORIZON_LIMIT:
-        raise ValueError(f"traces are limited to horizons <= {TRACE_HORIZON_LIMIT}")
+    burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
     nbrs = g.neighbors
@@ -236,13 +249,15 @@ def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: 
     else:
         raise ValueError(f"unknown age function: {g_fn!r}")
 
-    rec = _Recorder(g.n, horizon, burn_in, record_trace)
-    last = rec.last_visit
+    rec = _Recorder(g.n, horizon, burn_in)
+    deliver = rec.deliver
+    last = rec.last_delivery
+    log = [] if record_trace else None
     cur = start
     for t in range(1, horizon + 1):
-        rec.visit(cur, t)
+        deliver(cur, t, t)
         if record_trace:
-            rec.visit_log.append(cur)
+            log.append(cur)
         best_val = -1.0
         best_j = -1
         if mode == "quadratic":
@@ -265,11 +280,7 @@ def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: 
                     best_val = val
                     best_j = j
         cur = best_j
-
-    stats = rec.finish(g.weights)
-    if record_trace:
-        return stats, rec.build_trace()
-    return stats
+    return _gathering_result(rec, g, log)
 
 
 def _check_sequence(g: MobilityGraph, sequence) -> list:
@@ -343,22 +354,12 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
     length = len(seq)
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
-    if burn_in is None:
-        burn_in = length
-    if horizon <= burn_in:
-        raise ValueError("need horizon > burn_in")
-    if record_trace and horizon > TRACE_HORIZON_LIMIT:
-        raise ValueError(f"traces are limited to horizons <= {TRACE_HORIZON_LIMIT}")
-    rec = _Recorder(g.n, horizon, burn_in, record_trace)
+    burn_in = _check_window(horizon, burn_in, default=length, trace=record_trace)
+    rec = _Recorder(g.n, horizon, burn_in)
+    deliver = rec.deliver
     for t in range(1, horizon + 1):
-        cur = seq[(t - 1) % length]
-        rec.visit(cur, t)
-        if record_trace:
-            rec.visit_log.append(cur)
-    stats = rec.finish(g.weights)
-    if record_trace:
-        return stats, rec.build_trace()
-    return stats
+        deliver(seq[(t - 1) % length], t, t)
+    return _gathering_result(rec, g, seq * (horizon // length) if record_trace else None)
 
 
 def brute_force_optimal_periodic(g: MobilityGraph, max_period: int, weights=None):
@@ -379,7 +380,7 @@ def brute_force_optimal_periodic(g: MobilityGraph, max_period: int, weights=None
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     n = g.n
     nbrs = g.neighbors
-    dist = _bfs_distances(n, nbrs)
+    dist = [bfs_distances(nbrs, src) for src in range(n)]
     lower_bound = average_age_lower_bound(w)
     full_mask = (1 << n) - 1
 
@@ -434,17 +435,3 @@ def brute_force_optimal_periodic(g: MobilityGraph, max_period: int, weights=None
         raise ValueError(f"no covering closed walk of period <= {max_period} exists")
     return best[0], best[1], best[2]
 
-
-def _bfs_distances(n: int, nbrs) -> list:
-    out = []
-    for src in range(n):
-        d = [-1] * n
-        d[src] = 0
-        queue = [src]
-        for u in queue:
-            for v in nbrs[u]:
-                if d[v] < 0:
-                    d[v] = d[u] + 1
-                    queue.append(v)
-        out.append([x if x >= 0 else 10 ** 9 for x in d])
-    return out

@@ -127,6 +127,16 @@ def test_simulate_periodic_and_trace(runner, tmp_path):
     assert len(rows) == 400
 
 
+def test_simulate_periodic_rejects_negative_burn_in(runner, tmp_path):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    result = runner.invoke(main, ["simulate", "--graph", str(graph_path), "--policy", "periodic",
+                                  "--sequence", "0,1,2,3,4", "--horizon", "100",
+                                  "--burn-in", "-1", "-o", str(tmp_path / "runs.csv")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "burn_in" in result.output
+
+
 def test_simulate_determinism(runner, tmp_path):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "2", "-o", str(graph_path)])

@@ -3,7 +3,7 @@ import pytest
 
 from age_patrol import (PeriodicityWarning,
                         ReducibleChainError, TransitionMatrix, analyze, build_mh,
-                        check_irreducible, discrepancy, fundamental_matrix,
+                        check_irreducible, fundamental_matrix,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
 from conftest import random_chain, random_connected_graph
@@ -154,7 +154,6 @@ def test_discrepancy_iid_uniform_two_ways():
     analysis = analyze_quiet(iid_chain(pi))
     # hand formula: Z = I so row sums of |I - Pi| are 2 (1 - pi_i)
     assert analysis.discrepancy == 2.0 * (1.0 - 0.25)
-    assert discrepancy(analysis) == analysis.discrepancy
 
 
 def test_discrepancy_two_cycle(swap_matrix):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from age_patrol import (TransitionMatrix, analytic_ages, analyze,
                         average_age_lower_bound, brute_force_optimal_periodic, build_mh,
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
                         periodic_exact_ages, simulate_age_based, simulate_periodic,
                         simulate_randomized)
+from age_patrol.simulation import _Recorder
 from conftest import (make_complete, make_fig_tree, make_path, random_chain,
                       random_connected_graph)
 
@@ -149,6 +152,12 @@ def test_periodic_requires_multiple_of_period(k2):
         simulate_periodic(k2, [0, 1], 1001)
 
 
+def test_periodic_rejects_negative_burn_in():
+    g = generate_ring_k(5, 1)
+    with pytest.raises(ValueError, match="burn_in"):
+        simulate_periodic(g, [0, 1, 2, 3, 4], 100, burn_in=-1)
+
+
 def test_brute_force_triangle(triangle):
     seq, avg, peak = brute_force_optimal_periodic(triangle, 6)
     assert avg == pytest.approx(6.0)
@@ -220,3 +229,60 @@ def test_stats_to_json(k2, swap_matrix):
     payload = stats.to_json()
     assert payload["horizon"] == 2000
     assert len(payload["per_terminal_avg"]) == 2
+
+
+@st.composite
+def delivery_runs(draw):
+    """(n, horizon, burn_in, deliveries) with deliveries sorted by slot.
+
+    Each delivery is (t, i, generated) with generated <= t and at most one
+    delivery per terminal and slot; gathering runs use generated == t.
+    """
+    n = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 30))
+    burn_in = draw(st.integers(0, horizon - 1))
+    pairs = draw(st.lists(st.tuples(st.integers(1, horizon), st.integers(0, n - 1)),
+                          unique=True, max_size=3 * horizon))
+    gathering = draw(st.booleans())
+    deliveries = [(t, i, t if gathering else draw(st.integers(1, t)))
+                  for t, i in sorted(pairs)]
+    return n, horizon, burn_in, deliveries
+
+
+@settings(max_examples=300, deadline=None)
+@given(delivery_runs())
+@example((2, 6, 0, [(1, 0, 1), (3, 0, 2), (6, 0, 4)]))        # burn-in 0; terminal 1 never
+@example((3, 8, 3, [(3, 1, 3), (5, 1, 4), (8, 0, 2), (8, 1, 8)]))  # slots burn_in and horizon
+@example((1, 5, 4, [(2, 0, 1), (4, 0, 4)]))                   # no delivery inside the window
+def test_recorder_matches_per_slot_ages(run):
+    # naive reference: the age in slot s is s minus the generation slot of the
+    # last update delivered strictly before s (0 before the first delivery)
+    n, horizon, burn_in, deliveries = run
+    rec = _Recorder(n, horizon, burn_in)
+    for t, i, generated in deliveries:
+        rec.deliver(i, t, generated)
+    weights = np.arange(1.0, n + 1.0)
+    stats = rec.finish(weights)
+
+    ages = np.empty((horizon + 1, n), dtype=np.int64)
+    base = [0] * n
+    pending = list(deliveries)
+    for s in range(1, horizon + 1):
+        ages[s] = [s - b for b in base]
+        while pending and pending[0][0] == s:
+            _, i, generated = pending.pop(0)
+            base[i] = generated
+    window = ages[burn_in + 1:]
+    peaks = [[ages[t, i] for t, j, _ in deliveries if j == i and t > burn_in]
+             for i in range(n)]
+    expected_peak = np.array([np.mean(p) if p else np.nan for p in peaks])
+
+    np.testing.assert_array_equal(stats.per_terminal_avg, window.mean(axis=0))
+    np.testing.assert_array_equal(stats.per_terminal_peak, expected_peak)
+    np.testing.assert_array_equal(stats.n_peaks, [len(p) for p in peaks])
+    assert stats.network_avg == pytest.approx(float(np.sum(weights * window.mean(axis=0))))
+    if any(not p for p in peaks):
+        assert np.isnan(stats.network_peak)
+    else:
+        assert stats.network_peak == pytest.approx(float(np.sum(weights * expected_peak)))
+    assert (stats.horizon, stats.burn_in) == (horizon, burn_in)
