@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ChainAnalysis
+from .markov import ChainAnalysis, JsonRecord
 
 AGE_REPORT_CSV_FIELDS = [
     "n", "network_peak", "network_avg", "lower_bound_avg", "upper_bound_avg",
@@ -29,7 +29,7 @@ AGE_REPORT_CSV_FIELDS = [
 
 
 @dataclass(frozen=True)
-class AgeReport:
+class AgeReport(JsonRecord):
     per_terminal_peak: np.ndarray
     per_terminal_avg: np.ndarray
     network_peak: float
@@ -42,35 +42,12 @@ class AgeReport:
     def n(self) -> int:
         return len(self.per_terminal_peak)
 
-    def to_json(self) -> dict:
-        return {
-            "per_terminal_peak": [float(x) for x in self.per_terminal_peak],
-            "per_terminal_avg": [float(x) for x in self.per_terminal_avg],
-            "network_peak": self.network_peak,
-            "network_avg": self.network_avg,
-            "lower_bound_avg": self.lower_bound_avg,
-            "upper_bound_avg": self.upper_bound_avg,
-            "peak_opt_value": self.peak_opt_value,
-        }
-
     def to_csv_row(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow([self.n, self.network_peak, self.network_avg,
                          self.lower_bound_avg, self.upper_bound_avg, self.peak_opt_value])
         return buf.getvalue().strip("\r\n")
-
-    @staticmethod
-    def from_json(payload: dict) -> "AgeReport":
-        return AgeReport(
-            per_terminal_peak=np.asarray(payload["per_terminal_peak"], dtype=float),
-            per_terminal_avg=np.asarray(payload["per_terminal_avg"], dtype=float),
-            network_peak=float(payload["network_peak"]),
-            network_avg=float(payload["network_avg"]),
-            lower_bound_avg=float(payload["lower_bound_avg"]),
-            upper_bound_avg=float(payload["upper_bound_avg"]),
-            peak_opt_value=float(payload["peak_opt_value"]),
-        )
 
 
 def peak_optimal_value(weights) -> float:

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
@@ -30,8 +30,8 @@ from .errors import (GraphValidationError, NumericalError, SolverError, Stabilit
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 from .markov import analyze
-from .simulation import (TRACE_HORIZON_LIMIT, simulate_age_based, simulate_periodic,
-                         simulate_randomized)
+from .simulation import (TRACE_HORIZON_LIMIT, _check_window, simulate_age_based,
+                         simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
                                 design_objective)
 
@@ -50,13 +50,21 @@ RING_SIZES = [21, 25, 30, 36]
 RING_RADIUS = 3
 SWEEP_SOLVER_ITERATIONS = 2000
 SWEEP_BASE_SEED = 1
+# graph family -> the network sizes n its figures sweep by default
+SWEEP_SIZES = {"geometric": GEOMETRIC_SIZES, "grid": [side * side for side in GRID_SIDES],
+               "ring": RING_SIZES}
 
+_AVG_ROWS = (("mh", "mh_avg"), ("fastest_mixing", "fastest_avg"),
+             ("age_based", "age_based_avg"), ("lower_bound", "lower_bound"))
+# figure id -> (graph family, metric, its (policy, sweep-point key) rows in CSV order)
 FIGURES = {
-    "fig4": ("geometric", "peak_age"),
-    "fig5": ("geometric", "avg_age"),
-    "fig6": ("grid", "avg_age"),
-    "fig7": ("ring", "avg_age"),
-    "fig8": ("geometric", "avg_age"),
+    "fig4": ("geometric", "peak_age", (("mh", "mh_peak"), ("fastest_mixing", "fastest_peak"),
+                                       ("age_based", "age_based_peak"))),
+    "fig5": ("geometric", "avg_age", _AVG_ROWS),
+    "fig6": ("grid", "avg_age", _AVG_ROWS),
+    "fig7": ("ring", "avg_age", _AVG_ROWS),
+    "fig8": ("geometric", "avg_age", (("fastest_mixing", "fastest_avg"),
+                                      ("separation", "dissemination_avg"))),
 }
 
 
@@ -88,8 +96,39 @@ def _default_jobs() -> int:
         return 1
 
 
+def _parallel_map(fn, jobs, *iterables) -> list:
+    """list(map(fn, *iterables)), over a pool of `jobs` processes when that can help."""
+    if jobs > 1 and len(iterables[0]) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *iterables))
+    return list(map(fn, *iterables))
+
+
+# graph family -> (the spec key giving its size, generator of a spec); the
+# lambdas read the generators from the module globals at call time, so a
+# wrapper installed on those globals sees every generated graph
+_GENERATORS = {
+    "geometric": ("n", lambda spec: generate_random_geometric(
+        spec["n"], 2.0 / math.sqrt(spec["n"]) if spec.get("r") is None else spec["r"],
+        spec.get("seed", 0))),
+    "grid": ("side", lambda spec: generate_grid_diag(spec["side"])),
+    "ring": ("n", lambda spec: generate_ring_k(spec["n"], spec.get("k", 3))),
+}
+
+
+def _family_graph(spec: dict) -> MobilityGraph:
+    """Generate the graph an inline spec names; a missing radius r means 2/sqrt(n)."""
+    family = spec.get("family")
+    if family not in _GENERATORS:
+        raise click.UsageError(f"unknown graph family: {family!r}")
+    size_key, generate = _GENERATORS[family]
+    if spec.get(size_key) is None:
+        raise click.UsageError(f"{family} family needs {size_key}")
+    return generate(spec)
+
+
 @main.command("graph")
-@click.option("--family", type=click.Choice(["geometric", "grid", "ring"]), required=True)
+@click.option("--family", type=click.Choice(sorted(_GENERATORS)), required=True)
 @click.option("--n", type=int, default=None, help="terminal count (geometric, ring)")
 @click.option("--side", type=int, default=None, help="grid side length")
 @click.option("--k", type=int, default=3, help="ring neighbour radius")
@@ -104,21 +143,10 @@ def _default_jobs() -> int:
 @_cli_errors
 def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, output):
     """Generate a mobility graph and write it as JSON."""
-    if family == "geometric":
-        if n is None:
-            raise click.UsageError("geometric family needs --n")
-        if r is None:
-            raise click.UsageError("geometric family needs --r (or --r auto)")
-        radius = 2.0 / math.sqrt(n) if r == "auto" else float(r)
-        g = generate_random_geometric(n, radius, seed)
-    elif family == "grid":
-        if side is None:
-            raise click.UsageError("grid family needs --side")
-        g = generate_grid_diag(side)
-    else:
-        if n is None:
-            raise click.UsageError("ring family needs --n")
-        g = generate_ring_k(n, k)
+    if family == "geometric" and r is None:
+        raise click.UsageError("geometric family needs --r (or --r auto)")
+    g = _family_graph({"family": family, "n": n, "side": side, "k": k, "seed": seed,
+                       "r": None if r in (None, "auto") else float(r)})
     if weights_mode == "random":
         g = assign_weights(g, "random_interval", lo=lo, hi=hi,
                            seed=seed if weight_seed is None else weight_seed)
@@ -173,9 +201,9 @@ def cmd_design(graph_path, method, max_iterations, patience, schedule, output):
         click.echo(f"wrote design -> {output}")
 
 
-def _write_run_csv(path, rows):
+def _write_csv(path, fieldnames, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RUN_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -216,13 +244,10 @@ class ExperimentConfig:
     output: str | None = None
     report: str | None = None
 
-    KEYS = ("graph", "policy", "sequence", "g_fn", "horizon", "burn_in", "replications",
-            "seeds", "start", "rate_scale", "jobs", "output", "report")
-
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         payload = json.loads(Path(path).read_text())
-        unknown = set(payload) - set(ExperimentConfig.KEYS)
+        unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**payload)
@@ -240,8 +265,7 @@ class ExperimentConfig:
             raise click.UsageError("a graph (file path or inline spec) is required")
         if self.replications < 1:
             raise click.UsageError("replications must be >= 1")
-        if self.burn_in is not None and self.burn_in >= self.horizon:
-            raise click.UsageError("need horizon > burn_in")
+        _check_window(self.horizon, self.burn_in)  # a bad window is a validation error
         if self.policy == "periodic" and not self.sequence:
             raise click.UsageError("periodic policy needs a visit sequence")
         if self.output is None:
@@ -262,18 +286,8 @@ class ExperimentConfig:
     def resolve_graph(self) -> MobilityGraph:
         if isinstance(self.graph, str):
             return load_graph(self.graph)
-        spec = dict(self.graph)
-        weights = spec.pop("weights", None)
-        family = spec.pop("family", None)
-        if family == "geometric":
-            g = generate_random_geometric(spec["n"], spec.get("r", 2.0 / math.sqrt(spec["n"])),
-                                          spec.get("seed", 0))
-        elif family == "grid":
-            g = generate_grid_diag(spec["side"])
-        elif family == "ring":
-            g = generate_ring_k(spec["n"], spec.get("k", 3))
-        else:
-            raise click.UsageError(f"unknown graph family in config: {family!r}")
+        g = _family_graph(self.graph)
+        weights = self.graph.get("weights")
         if weights:
             mode = weights.get("mode", "uniform")
             g = assign_weights(g, mode, lo=weights.get("lo", 1.0), hi=weights.get("hi", 2.0),
@@ -281,21 +295,44 @@ class ExperimentConfig:
         return g
 
 
-def _gathering_run(args):
-    g, policy, sequence, g_fn, horizon, burn_in, start, seed, design_json = args
+def _gathering_run(g, policy, sequence, g_fn, horizon, burn_in, start, matrix, seed, record):
     if policy in ("mh", "fastest"):
-        design = DesignResult.from_json(design_json)
-        stats = simulate_randomized(g, design.matrix, horizon, burn_in, seed=seed, start=start)
-    elif policy == "age_based":
-        stats = simulate_age_based(g, g_fn, horizon, burn_in, seed=seed, start=start)
-    else:
-        stats = simulate_periodic(g, sequence, horizon, burn_in)
-    return {
-        "row_type": "replication", "policy": policy, "seed": seed,
-        "horizon": horizon, "burn_in": stats.burn_in,
+        return simulate_randomized(g, matrix, horizon, burn_in, seed=seed, start=start,
+                                   record_trace=record)
+    if policy == "age_based":
+        return simulate_age_based(g, g_fn, horizon, burn_in, seed=seed, start=start,
+                                  record_trace=record)
+    return simulate_periodic(g, sequence, horizon, burn_in, record_trace=record)
+
+
+def _dissemination_run(g, policy, horizon, burn_in, start, seed, record):
+    return simulate_dissemination(g, policy, horizon, burn_in, seed=seed, start=start,
+                                  record_events=record)
+
+
+def _replicate(run, cfg: ExperimentConfig, record: bool):
+    """Run `run(seed, record)` once per seed, write the replication and aggregate rows.
+
+    Only replication 0 records its trace or event log; recording draws no
+    random numbers, so its statistics are those of a plain run.  Returns
+    the per-seed statistics and replication 0's log (None unless recorded).
+    """
+    seeds = cfg.seed_list()
+    outs = _parallel_map(run, cfg.jobs or _default_jobs(), seeds,
+                         [record and k == 0 for k in range(len(seeds))])
+    log = None
+    if record:
+        outs[0], log = outs[0]
+    rows = [{
+        "row_type": "replication", "policy": cfg.policy, "seed": seed,
+        "horizon": cfg.horizon, "burn_in": stats.burn_in,
         "network_peak": stats.network_peak, "network_avg": stats.network_avg,
         "peak_stderr": "", "avg_stderr": "",
-    }
+    } for seed, stats in zip(seeds, outs)]
+    rows.append(_aggregate_rows(rows, cfg.policy, cfg.horizon, rows[0]["burn_in"]))
+    _write_csv(cfg.output, RUN_CSV_FIELDS, rows)
+    click.echo(f"wrote {len(rows)} rows -> {cfg.output}")
+    return outs, log
 
 
 @main.command("simulate")
@@ -330,38 +367,16 @@ def cmd_simulate(ctx, graph_path, policy, sequence, g_fn, horizon, burn_in, repl
         "start": ("start", start), "jobs": ("jobs", jobs), "output": ("output", output),
     })
     cfg.validate()
-    seed_list = cfg.seed_list()
-    jobs = cfg.jobs if cfg.jobs else _default_jobs()
     policy = cfg.policy
-    sequence = cfg.sequence_list() if cfg.sequence else None
-
     g = cfg.resolve_graph()
-    design_json = None
+    matrix = None
     if policy in ("mh", "fastest"):
-        design = build_mh(g) if policy == "mh" else build_fastest_mixing(g)
-        design_json = design.to_json()
-    tasks = [(g, policy, sequence, cfg.g_fn, cfg.horizon, cfg.burn_in, cfg.start, seed,
-              design_json) for seed in seed_list]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_gathering_run, tasks))
-    else:
-        rows = [_gathering_run(task) for task in tasks]
-    rows.append(_aggregate_rows(rows, policy, cfg.horizon, rows[0]["burn_in"]))
-    _write_run_csv(cfg.output, rows)
-    click.echo(f"wrote {len(rows)} rows -> {cfg.output}")
-
+        matrix = (build_mh(g) if policy == "mh" else build_fastest_mixing(g)).matrix
+    sequence = cfg.sequence_list() if cfg.sequence else None
+    run = functools.partial(_gathering_run, g, policy, sequence, cfg.g_fn, cfg.horizon,
+                            cfg.burn_in, cfg.start, matrix)
+    _, trace = _replicate(run, cfg, record=bool(trace_path))
     if trace_path:
-        if policy in ("mh", "fastest"):
-            _, trace = simulate_randomized(g, DesignResult.from_json(design_json).matrix,
-                                           cfg.horizon, cfg.burn_in, seed=seed_list[0],
-                                           start=cfg.start, record_trace=True)
-        elif policy == "age_based":
-            _, trace = simulate_age_based(g, cfg.g_fn, cfg.horizon, cfg.burn_in,
-                                          seed=seed_list[0], start=cfg.start,
-                                          record_trace=True)
-        else:
-            _, trace = simulate_periodic(g, sequence, cfg.horizon, record_trace=True)
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "m"] + [f"A_{i}" for i in range(g.n)])
@@ -402,41 +417,22 @@ def cmd_disseminate(ctx, graph_path, horizon, burn_in, replications, seeds, star
         "report_path": ("report", report_path),
     })
     cfg.validate()
-    seed_list = cfg.seed_list()
-    horizon, burn_in, start, rate_scale = cfg.horizon, cfg.burn_in, cfg.start, cfg.rate_scale
-    report_path = cfg.report
-
     g = cfg.resolve_graph()
     if design_path:
         design = DesignResult.from_json(json.loads(Path(design_path).read_text()))
     else:
         design = build_fastest_mixing(g)
     policy = separation_policy(g, design=design)
-    if rate_scale != 1.0:
-        policy = policy_from_design(design, rates=policy.rates * rate_scale)
+    if cfg.rate_scale != 1.0:
+        policy = policy_from_design(design, rates=policy.rates * cfg.rate_scale)
 
-    rows = []
-    last_stats = None
-    for seed in seed_list:
-        stats = simulate_dissemination(g, policy, horizon, burn_in, seed=seed, start=start)
-        last_stats = stats
-        rows.append({
-            "row_type": "replication", "policy": "separation", "seed": seed,
-            "horizon": horizon, "burn_in": stats.burn_in,
-            "network_peak": stats.network_peak, "network_avg": stats.network_avg,
-            "peak_stderr": "", "avg_stderr": "",
-        })
-    rows.append(_aggregate_rows(rows, "separation", horizon, rows[0]["burn_in"]))
-    _write_run_csv(cfg.output, rows)
-    click.echo(f"wrote {len(rows)} rows -> {cfg.output}")
-
-    if report_path:
-        report = dissemination_report(policy, last_stats, g.weights)
-        Path(report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        click.echo(f"wrote report -> {report_path}")
+    run = functools.partial(_dissemination_run, g, policy, cfg.horizon, cfg.burn_in, cfg.start)
+    stats, events = _replicate(run, cfg, record=bool(events_path))
+    if cfg.report:
+        report = dissemination_report(policy, stats[-1], g.weights)
+        Path(cfg.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        click.echo(f"wrote report -> {cfg.report}")
     if events_path:
-        _, events = simulate_dissemination(g, policy, horizon, burn_in, seed=seed_list[0],
-                                           start=start, record_events=True)
         with open(events_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "event", "terminal", "generated"])
@@ -446,13 +442,8 @@ def cmd_disseminate(ctx, graph_path, horizon, burn_in, replications, seeds, star
 
 
 def _sweep_graph(family, n, base_seed):
-    if family == "geometric":
-        g = generate_random_geometric(n, 2.0 / math.sqrt(n), seed=base_seed + n)
-    elif family == "grid":
-        side = int(round(math.sqrt(n)))
-        g = generate_grid_diag(side)
-    else:
-        g = generate_ring_k(n, RING_RADIUS)
+    g = _family_graph({"family": family, "n": n, "side": int(round(math.sqrt(n))),
+                       "k": RING_RADIUS, "seed": base_seed + n})
     return assign_weights(g, "random_interval", lo=1.0, hi=2.0, seed=base_seed + 10_000 + n)
 
 
@@ -489,35 +480,9 @@ def _sweep_point(args) -> dict:
 
 
 def _figure_rows(figure, points) -> list:
-    rows = []
-    for pt in points:
-        n = pt["n"]
-        if figure == "fig4":
-            rows += [
-                {"n": n, "policy": "mh", "metric": "peak_age", "value": pt["mh_peak"], "stderr": 0.0},
-                {"n": n, "policy": "fastest_mixing", "metric": "peak_age",
-                 "value": pt["fastest_peak"], "stderr": 0.0},
-                {"n": n, "policy": "age_based", "metric": "peak_age",
-                 "value": pt["age_based_peak"], "stderr": 0.0},
-            ]
-        elif figure in ("fig5", "fig6", "fig7"):
-            rows += [
-                {"n": n, "policy": "mh", "metric": "avg_age", "value": pt["mh_avg"], "stderr": 0.0},
-                {"n": n, "policy": "fastest_mixing", "metric": "avg_age",
-                 "value": pt["fastest_avg"], "stderr": 0.0},
-                {"n": n, "policy": "age_based", "metric": "avg_age",
-                 "value": pt["age_based_avg"], "stderr": 0.0},
-                {"n": n, "policy": "lower_bound", "metric": "avg_age",
-                 "value": pt["lower_bound"], "stderr": 0.0},
-            ]
-        else:  # fig8
-            rows += [
-                {"n": n, "policy": "fastest_mixing", "metric": "avg_age",
-                 "value": pt["fastest_avg"], "stderr": 0.0},
-                {"n": n, "policy": "separation", "metric": "avg_age",
-                 "value": pt["dissemination_avg"], "stderr": 0.0},
-            ]
-    return rows
+    _, metric, columns = FIGURES[figure]
+    return [{"n": pt["n"], "policy": policy, "metric": metric, "value": pt[key], "stderr": 0.0}
+            for pt in points for policy, key in columns]
 
 
 @main.command("reproduce")
@@ -539,48 +504,28 @@ def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations,
     override = [int(s) for s in sizes.split(",")] if sizes else None
     families = {}
     for fig in figures:
-        family, _ = FIGURES[fig]
-        if family == "geometric":
-            family_sizes = override or GEOMETRIC_SIZES
-        elif family == "grid":
-            family_sizes = override or [side * side for side in GRID_SIDES]
-        else:
-            family_sizes = override or RING_SIZES
-        need_diss = fig == "fig8"
+        family, _, columns = FIGURES[fig]
         entry = families.setdefault(family, {"sizes": set(), "diss": False})
-        entry["sizes"].update(family_sizes)
-        entry["diss"] = entry["diss"] or need_diss
+        entry["sizes"].update(override or SWEEP_SIZES[family])
+        entry["diss"] = entry["diss"] or any(key == "dissemination_avg" for _, key in columns)
 
     tasks = []
     for family, entry in sorted(families.items()):
         for n in sorted(entry["sizes"]):
             tasks.append((family, n, base_seed, horizon, solver_iterations, entry["diss"]))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point_safe, tasks))
-    else:
-        results = [_sweep_point_safe(task) for task in tasks]
+    results = _parallel_map(_sweep_point_safe, jobs, tasks)
     for pt in results:
         if "error" in pt:
             # record the failure and keep sweeping
             click.echo(f"sweep point {pt['family']} n={pt['n']} failed: {pt['error']}",
                        err=True)
 
-    by_family = {}
-    for pt in results:
-        by_family.setdefault(pt["family"], []).append(pt)
-    for pts in by_family.values():
-        pts.sort(key=lambda p: p["n"])
-
+    # tasks run in family and size order, so each family's points are sorted by n
     for fig in figures:
-        family, _ = FIGURES[fig]
-        pts = [p for p in by_family.get(family, []) if "error" not in p]
-        rows = _figure_rows(fig, pts)
+        rows = _figure_rows(fig, [p for p in results
+                                  if p["family"] == FIGURES[fig][0] and "error" not in p])
         path = out / f"{fig}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(path, SWEEP_CSV_FIELDS, rows)
         click.echo(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
-from .markov import ChainAnalysis, TransitionMatrix, analyze
+from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze
 from .simulation import AgeStats, _check_window, _Recorder, _row_samplers, _sampler
 from .trajectory_design import DesignResult, SolverOptions, build_fastest_mixing
 
@@ -206,7 +206,7 @@ def optimal_utilization(z_ii: float, pi_i: float) -> float:
 
 
 @dataclass(frozen=True)
-class DisseminationPolicy:
+class DisseminationPolicy(JsonRecord):
     """A trajectory plus per-terminal update generation rates."""
 
     matrix: TransitionMatrix
@@ -227,31 +227,6 @@ class DisseminationPolicy:
             raise StabilityError("rates must satisfy 0 < lambda_i < pi_i")
         if not np.all(np.isfinite(self.upper_bounds)):
             raise NumericalError("upper bounds must be finite")
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix.p],
-            "target_pi": [float(v) for v in self.target_pi],
-            "rates": [float(v) for v in self.rates],
-            "rho": [float(v) for v in self.rho],
-            "upper_bounds": [float(v) for v in self.upper_bounds],
-            "z_diag": [float(v) for v in self.z_diag],
-            "discrepancy": self.discrepancy,
-            "meta": self.meta,
-        }
-
-    @staticmethod
-    def from_json(payload: dict) -> "DisseminationPolicy":
-        return DisseminationPolicy(
-            matrix=TransitionMatrix(np.asarray(payload["matrix"], dtype=float)),
-            target_pi=np.asarray(payload["target_pi"], dtype=float),
-            rates=np.asarray(payload["rates"], dtype=float),
-            rho=np.asarray(payload["rho"], dtype=float),
-            upper_bounds=np.asarray(payload["upper_bounds"], dtype=float),
-            z_diag=np.asarray(payload["z_diag"], dtype=float),
-            discrepancy=float(payload["discrepancy"]),
-            meta=dict(payload.get("meta", {})),
-        )
 
 
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:

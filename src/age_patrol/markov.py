@@ -12,13 +12,15 @@ row-stochastic matrix P:
   diagnostic used for reporting.
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
-exactly testable O(n^3) solves beat iterative machinery.
+exactly testable O(n^3) solves beat iterative machinery.  `JsonRecord` is
+the one JSON codec of the package's result records.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -62,6 +64,64 @@ class TransitionMatrix:
             if i != j and not graph.has_edge(i, j):
                 bad.append((i, j))
         return bad
+
+
+class JsonRecord:
+    """Mixin giving a dataclass a JSON form: its fields by name.
+
+    Arrays and transition matrices are written as (nested) lists and every
+    other value as it is.  `from_json` converts each value by its field
+    annotation (an array field takes the dtype in its ``metadata``, float by
+    default), leaves an absent field with a default at that default and
+    ignores unknown keys, so a record can travel inside a larger payload.
+    A missing required key or an ill-typed value raises ValueError.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, payload: dict):
+        if not isinstance(payload, dict):
+            raise ValueError(f"{cls.__name__} JSON must be an object")
+        hints = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if f.name in payload:
+                values[f.name] = _decode(cls, f, hints[f.name], payload[f.name])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{cls.__name__} JSON lacks the key {f.name!r}")
+        return cls(**values)
+
+
+def _encode(value):
+    if isinstance(value, TransitionMatrix):
+        value = value.p
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# field type -> the JSON value types it accepts
+_JSON_TYPES = {np.ndarray: list, TransitionMatrix: list, dict: dict, bool: bool, int: int,
+               float: (int, float)}
+
+
+def _decode(cls, f, hint, value):
+    args = get_args(hint)  # only optional fields, spelled `X | None`, have args
+    if args and value is None:
+        return None
+    kind = args[0] if args else hint
+    # bool is an int to isinstance, but a JSON true is no number
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{cls.__name__}.{f.name} must be a JSON "
+                         f"{'array' if _JSON_TYPES[kind] is list else kind.__name__}, "
+                         f"not {type(value).__name__}")
+    try:
+        if _JSON_TYPES[kind] is not list:
+            return kind(value)
+        array = np.array(value, dtype=f.metadata.get("dtype", float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{cls.__name__}.{f.name}: {exc}") from None
+    return TransitionMatrix(array) if kind is TransitionMatrix else array
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ lengths are drawn by one buffered inverse-CDF sampler, `_sampler`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aoi_analysis import average_age_lower_bound
 from .graphs import MobilityGraph, bfs_distances
-from .markov import TransitionMatrix
+from .markov import JsonRecord, TransitionMatrix
 
 TRACE_HORIZON_LIMIT = 100_000
 _WALK_BUFFER = 1 << 16
@@ -35,10 +35,10 @@ BRUTE_FORCE_MAX_PERIOD = 16
 
 
 @dataclass(frozen=True)
-class AgeStats:
+class AgeStats(JsonRecord):
     per_terminal_peak: np.ndarray   # mean age at visit slots (NaN if never visited)
     per_terminal_avg: np.ndarray    # time-averaged age over the window
-    n_peaks: np.ndarray             # visits inside the window
+    n_peaks: np.ndarray = field(metadata={"dtype": int})  # visits inside the window
     network_peak: float
     network_avg: float
     horizon: int
@@ -50,17 +50,6 @@ class AgeStats:
 
     def visit_fraction(self) -> np.ndarray:
         return self.n_peaks / (self.horizon - self.burn_in)
-
-    def to_json(self) -> dict:
-        return {
-            "per_terminal_peak": [float(x) for x in self.per_terminal_peak],
-            "per_terminal_avg": [float(x) for x in self.per_terminal_avg],
-            "n_peaks": [int(x) for x in self.n_peaks],
-            "network_peak": self.network_peak,
-            "network_avg": self.network_avg,
-            "horizon": self.horizon,
-            "burn_in": self.burn_in,
-        }
 
 
 @dataclass(frozen=True)

@@ -30,38 +30,17 @@ import numpy as np
 from .constants import TOL
 from .errors import GraphValidationError, SolverError
 from .graphs import MobilityGraph
-from .markov import TransitionMatrix, check_irreducible
+from .markov import JsonRecord, TransitionMatrix, check_irreducible
 
 
 @dataclass(frozen=True)
-class DesignResult:
+class DesignResult(JsonRecord):
     matrix: TransitionMatrix
     target_pi: np.ndarray
-    objective: float | None     # spectral norm for the solver; None for MH
-    iterations: int
-    converged: bool
+    objective: float | None = None  # spectral norm for the solver; None for MH
+    iterations: int = 0
+    converged: bool = True
     residuals: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix.p],
-            "target_pi": [float(v) for v in self.target_pi],
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residuals": self.residuals,
-        }
-
-    @staticmethod
-    def from_json(payload: dict) -> "DesignResult":
-        return DesignResult(
-            matrix=TransitionMatrix(np.asarray(payload["matrix"], dtype=float)),
-            target_pi=np.asarray(payload["target_pi"], dtype=float),
-            objective=payload.get("objective"),
-            iterations=int(payload.get("iterations", 0)),
-            converged=bool(payload.get("converged", True)),
-            residuals=dict(payload.get("residuals", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -118,9 +97,6 @@ def build_mh(g: MobilityGraph) -> DesignResult:
     return DesignResult(
         matrix=matrix,
         target_pi=pi,
-        objective=None,
-        iterations=0,
-        converged=True,
         residuals=_design_residuals(matrix, g, pi),
     )
 

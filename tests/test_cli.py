@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from age_patrol import load_graph
+from age_patrol import cli, load_graph
 from age_patrol.cli import EXIT_VALIDATION, RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
 
 
@@ -127,12 +127,13 @@ def test_simulate_periodic_and_trace(runner, tmp_path):
     assert len(rows) == 400
 
 
-def test_simulate_periodic_rejects_negative_burn_in(runner, tmp_path):
+@pytest.mark.parametrize("burn_in", ["-1", "100"])
+def test_simulate_periodic_rejects_negative_burn_in(runner, tmp_path, burn_in):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
     result = runner.invoke(main, ["simulate", "--graph", str(graph_path), "--policy", "periodic",
                                   "--sequence", "0,1,2,3,4", "--horizon", "100",
-                                  "--burn-in", "-1", "-o", str(tmp_path / "runs.csv")])
+                                  "--burn-in", burn_in, "-o", str(tmp_path / "runs.csv")])
     assert result.exit_code == EXIT_VALIDATION
     assert "burn_in" in result.output
 
@@ -280,3 +281,90 @@ def test_disseminate_rejects_design_with_nan(runner, tmp_path):
                                   "-o", str(tmp_path / "diss.csv")])
     assert result.exit_code == EXIT_VALIDATION
     assert "finite" in result.output
+
+
+@pytest.mark.parametrize("payload", [{}, {"matrix": [[0.5, 0.5], [0.5, 0.5]]}])
+def test_disseminate_malformed_design_is_validation_error(runner, tmp_path, payload):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    design_path = tmp_path / "bad.json"
+    design_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["disseminate", "--graph", str(graph_path),
+                                  "--design", str(design_path), "--horizon", "1000",
+                                  "-o", str(tmp_path / "diss.csv")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "lacks the key" in result.output
+
+
+def test_config_inline_graph_without_size_is_usage_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"family": "ring", "k": 2}, "horizon": 1000}))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                  "-o", str(tmp_path / "o.csv")])
+    assert result.exit_code == 2
+    assert "needs n" in result.output
+
+
+def _counting(monkeypatch, name, seeds):
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return original
+
+
+def test_first_replication_records_without_a_rerun(runner, tmp_path, monkeypatch):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    g = load_graph(graph_path)
+
+    seeds = []
+    simulate_randomized = _counting(monkeypatch, "simulate_randomized", seeds)
+    trace_path = tmp_path / "trace.csv"
+    result = invoke(runner, ["simulate", "--graph", str(graph_path), "--policy", "mh",
+                             "--horizon", "2000", "--seeds", "1,2", "--trace", str(trace_path),
+                             "-o", str(tmp_path / "runs.csv")])
+    assert result.exit_code == 0, result.output
+    assert seeds == [1, 2]
+    _, trace = simulate_randomized(g, cli.build_mh(g).matrix, 2000, seed=1, record_trace=True)
+    assert read_csv(trace_path)[0] == {"t": "1", "m": str(trace.visit_log[0]),
+                                       **{f"A_{i}": str(a) for i, a in enumerate(trace.ages[0])}}
+
+    seeds = []
+    simulate_dissemination = _counting(monkeypatch, "simulate_dissemination", seeds)
+    events_path = tmp_path / "events.csv"
+    result = invoke(runner, ["disseminate", "--graph", str(graph_path), "--horizon", "2000",
+                             "--seeds", "3,4", "--events", str(events_path),
+                             "-o", str(tmp_path / "diss.csv")])
+    assert result.exit_code == 0, result.output
+    assert seeds == [3, 4]
+    policy = cli.separation_policy(g, design=cli.build_fastest_mixing(g))
+    _, events = simulate_dissemination(g, policy, 2000, seed=3, record_events=True)
+    t, kind, terminal, generated = events[0]
+    assert read_csv(events_path)[0] == {"t": str(t), "event": kind, "terminal": str(terminal),
+                                        "generated": "" if generated is None else str(generated)}
+
+
+def test_figure_rows_follow_the_sweep_contents_table():
+    point = {"n": 9, "mh_peak": 1.0, "mh_avg": 2.0, "fastest_peak": 3.0, "fastest_avg": 4.0,
+             "age_based_peak": 5.0, "age_based_avg": 6.0, "lower_bound": 7.0,
+             "dissemination_avg": 8.0}
+    gathering = ["mh", "fastest_mixing", "age_based"]
+    expected = {
+        "fig4": ("peak_age", gathering, [1.0, 3.0, 5.0]),
+        "fig5": ("avg_age", gathering + ["lower_bound"], [2.0, 4.0, 6.0, 7.0]),
+        "fig6": ("avg_age", gathering + ["lower_bound"], [2.0, 4.0, 6.0, 7.0]),
+        "fig7": ("avg_age", gathering + ["lower_bound"], [2.0, 4.0, 6.0, 7.0]),
+        "fig8": ("avg_age", ["fastest_mixing", "separation"], [4.0, 8.0]),
+    }
+    assert set(cli.FIGURES) == set(expected)
+    for fig, (metric, policies, values) in expected.items():
+        rows = cli._figure_rows(fig, [point, dict(point, n=16)])
+        assert [r["n"] for r in rows] == [9] * len(policies) + [16] * len(policies)
+        assert [r["policy"] for r in rows] == policies * 2
+        assert {r["metric"] for r in rows} == {metric}
+        assert [r["value"] for r in rows] == values * 2
+        assert {r["stderr"] for r in rows} == {0.0}
