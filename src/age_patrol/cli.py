@@ -124,6 +124,10 @@ def _family_graph(spec: dict) -> MobilityGraph:
     size_key, generate = _GENERATORS[family]
     if spec.get(size_key) is None:
         raise click.UsageError(f"{family} family needs {size_key}")
+    for key in ("n", "side", "k"):
+        value = spec.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise click.UsageError(f"graph size {key} must be an integer, not {value!r}")
     return generate(spec)
 
 
@@ -265,6 +269,8 @@ class ExperimentConfig:
             raise click.UsageError("a graph (file path or inline spec) is required")
         if self.replications < 1:
             raise click.UsageError("replications must be >= 1")
+        if not self.seed_list():
+            raise click.UsageError("the seed list is empty")
         _check_window(self.horizon, self.burn_in)  # a bad window is a validation error
         if self.policy == "periodic" and not self.sequence:
             raise click.UsageError("periodic policy needs a visit sequence")

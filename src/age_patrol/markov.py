@@ -3,13 +3,15 @@
 Everything downstream needs four derived quantities of an irreducible
 row-stochastic matrix P:
 
-* the stationary distribution ``pi`` solving pi P = pi,
+* the stationary distribution ``pi`` solving pi P = pi, from one square
+  solve of (I - P + 1 1^T)^T pi^T = 1,
 * the fundamental matrix ``Z = (I - P + Pi)^-1`` with Pi stacking pi in
   every row (its diagonal encodes return-time second moments),
 * the discrepancy ``max_i sum_j |z_ij - pi_j|``, a computable mixing
   surrogate,
 * the SLEM (second-largest eigenvalue modulus), a classical mixing
-  diagnostic used for reporting.
+  diagnostic used for reporting; for a reversible chain it comes from a
+  symmetric eigensolver on D^1/2 P D^-1/2, D = diag(pi).
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
 exactly testable O(n^3) solves beat iterative machinery.  `JsonRecord` is
@@ -29,6 +31,8 @@ from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
 from .graphs import bfs_distances
 
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
+# largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
+_SYMMETRIC_SPECTRUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -166,17 +170,18 @@ def check_irreducible(P: TransitionMatrix) -> bool:
 def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 for an irreducible P.
 
-    Uses the least-squares solution of (P^T - I) stacked with the
-    normalization row; the returned vector satisfies
-    max|pi P - pi| <= 1e-10 or a NumericalError reports the residual.
+    Solves the square system (I - P + 1 1^T)^T pi^T = 1 (Stewart 1994,
+    ch. 2).  Its matrix is nonsingular for every irreducible P: if
+    (I - P + 1 1^T) y = 0, left-multiplying by pi gives 1^T y = 0, so
+    (I - P) y = 0, y is constant and therefore zero.  The returned vector
+    satisfies max|pi P - pi| <= 1e-10 or a NumericalError reports the
+    residual.
     """
     if not check_irreducible(P):
         raise ReducibleChainError("chain is reducible; stationary distribution not unique")
     n = P.n
-    a = np.vstack([P.p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    a = np.eye(n) - P.p + 1.0
+    pi = np.linalg.solve(a.T, np.ones(n))
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ P.p - pi)))
     if residual > TOL.pi_solve_residual or np.any(pi <= 0):
@@ -202,14 +207,29 @@ def fundamental_matrix(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return z
 
 
-def slem(P: TransitionMatrix) -> float:
+def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
     """Second-largest eigenvalue modulus of P.
+
+    With a positive ``pi`` the spectrum is read from S = D^1/2 P D^-1/2,
+    D = diag(pi), which is similar to P.  When S is symmetric to within
+    ``_SYMMETRIC_SPECTRUM_TOL`` (a reversible chain with its stationary
+    pi), the eigenvalues of (S + S^T)/2 lie within ||S - S^T||_inf / 2 of
+    those of P (Bauer-Fike), so the symmetric eigensolver answers;
+    otherwise the general eigensolver does.
 
     Emits a PeriodicityWarning when a second eigenvalue sits on the unit
     circle (periodic chain): the value is then 1 and mixing surrogates
     carry no information.
     """
-    moduli = np.sort(np.abs(np.linalg.eigvals(P.p)))[::-1]
+    moduli = None
+    if pi is not None and np.all(np.asarray(pi) > 0):
+        root = np.sqrt(pi)
+        s = P.p * root[:, None] / root[None, :]
+        if np.max(np.abs(s - s.T).sum(axis=1)) / 2 <= _SYMMETRIC_SPECTRUM_TOL:
+            moduli = np.abs(np.linalg.eigvalsh((s + s.T) / 2))
+    if moduli is None:
+        moduli = np.abs(np.linalg.eigvals(P.p))
+    moduli = np.sort(moduli)[::-1]
     value = float(moduli[1]) if len(moduli) > 1 else 0.0
     if value >= _PERIODIC_EIGENVALUE_CUTOFF:
         warnings.warn("chain is periodic; SLEM equals 1 and mixing diagnostics are meaningless",
@@ -243,7 +263,7 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
         z=z,
         z_diag=np.diag(z).copy(),
         discrepancy=discrepancy_of(z, pi),
-        slem=slem(P),
+        slem=slem(P, pi),
     )
 
 

@@ -193,7 +193,9 @@ class _TopSingularPair:
     def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         v = self.block
         if v is not None:
-            for _ in range(_RITZ_STEPS):
+            for step in range(_RITZ_STEPS):
+                if step:  # no QR after the last step: the full SVD answers there
+                    v, _ = np.linalg.qr(d.T @ w)
                 w = d @ v
                 uw, sw, zt = np.linalg.svd(w, full_matrices=False)
                 u1, s1 = uw[:, 0], float(sw[0])
@@ -201,7 +203,6 @@ class _TopSingularPair:
                 if np.linalg.norm(d.T @ u1 - s1 * ritz[:, 0]) <= _RITZ_RTOL * s1:
                     self.block = ritz
                     return u1, ritz[:, 0], s1
-                v, _ = np.linalg.qr(d.T @ w)
         self.fallbacks += 1
         u, s, vt = np.linalg.svd(d)
         self.block = vt[:_RITZ_BLOCK].T

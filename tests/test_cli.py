@@ -305,6 +305,27 @@ def test_config_inline_graph_without_size_is_usage_error(runner, tmp_path):
     assert "needs n" in result.output
 
 
+def test_config_inline_graph_with_string_size_is_usage_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"family": "ring", "n": "6"}, "horizon": 1000}))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                  "-o", str(tmp_path / "o.csv")])
+    assert result.exit_code == 2
+    assert "must be an integer" in result.output
+
+
+@pytest.mark.parametrize("command", ["simulate", "disseminate"])
+def test_empty_seed_list_is_usage_error(runner, tmp_path, command):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, [command, "--graph", str(graph_path), "--seeds", ",",
+                                  "--horizon", "100", "-o", str(out)])
+    assert result.exit_code == 2
+    assert "seed list is empty" in result.output
+    assert not out.exists()
+
+
 def _counting(monkeypatch, name, seeds):
     original = getattr(cli, name)
 

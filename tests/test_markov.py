@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from age_patrol import (PeriodicityWarning,
-                        ReducibleChainError, TransitionMatrix, analyze, build_mh,
-                        check_irreducible, fundamental_matrix,
+                        ReducibleChainError, TransitionMatrix, analyze, assign_weights,
+                        build_mh, check_irreducible, fundamental_matrix,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
 from conftest import random_chain, random_connected_graph
@@ -208,3 +210,83 @@ def test_empirical_visit_frequency_matches_pi():
     stats = simulate_randomized(g, P, 1_000_000, burn_in=10_000, seed=5)
     freq = stats.visit_fraction()
     assert np.all(np.abs(freq - analysis.pi) / analysis.pi < 0.01)
+
+
+def random_irreducible_chain(kind, n, seed):
+    """An MH chain (reversible) or a generic random chain on a random graph."""
+    g = random_connected_graph(n, seed)
+    if kind == "mh":
+        return build_mh(assign_weights(g, "random_interval", lo=1.0, hi=4.0, seed=seed)).matrix
+    return random_chain(g, seed + 1)
+
+
+random_chains = given(kind=st.sampled_from(["mh", "generic"]),
+                      n=st.integers(min_value=2, max_value=30),
+                      seed=st.integers(min_value=0, max_value=2 ** 32 - 2))
+
+
+@settings(max_examples=80, deadline=None)
+@random_chains
+def test_stationary_matches_least_squares_reference(kind, n, seed):
+    P = random_irreducible_chain(kind, n, seed)
+    # reference: least squares on (P^T - I) stacked with the normalization row
+    a = np.vstack([P.p.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    reference, *_ = np.linalg.lstsq(a, b, rcond=None)
+    pi = stationary_distribution(P)
+    assert np.max(np.abs(pi - reference) / reference) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@random_chains
+def test_slem_matches_general_eigensolver(kind, n, seed):
+    P = random_irreducible_chain(kind, n, seed)
+    reference = np.sort(np.abs(np.linalg.eigvals(P.p)))[::-1][1]
+    assert abs(slem(P, stationary_distribution(P)) - reference) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@random_chains
+def test_fundamental_diagonal_dominates_pi(kind, n, seed):
+    analysis = analyze(random_irreducible_chain(kind, n, seed))
+    assert np.all(analysis.z_diag >= analysis.pi)
+
+
+@settings(max_examples=80, deadline=None)
+@random_chains
+def test_return_time_moments_match_first_step_analysis(kind, n, seed):
+    P = random_irreducible_chain(kind, n, seed)
+    i = seed % n
+    # oracle: Q is P with column i zeroed, so (I - Q) h = 1 gives the hitting
+    # times of i, and conditioning on the first step, T = 1 + T', gives the
+    # second moments s = (I - Q)^-1 (1 + 2 Q h); the return time is row i
+    q = P.p.copy()
+    q[:, i] = 0.0
+    m = np.eye(n) - q
+    h = np.linalg.solve(m, np.ones(n))
+    second = np.linalg.solve(m, 1.0 + 2.0 * q @ h)
+    mean, moment = return_time_moments(analyze(P), i)
+    assert mean == pytest.approx(h[i], rel=1e-9)
+    assert moment == pytest.approx(second[i], rel=1e-8)
+
+
+def test_reversible_chains_take_the_symmetric_eigensolver(monkeypatch):
+    calls = {"eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for seed in range(5):
+        g = assign_weights(random_connected_graph(12, seed), "random_interval", seed=seed)
+        design = build_mh(g)
+        analyze(design.matrix)
+        analyze(design.matrix, pi=design.target_pi)
+    assert calls == {"eigvalsh": 10, "eigvals": 0}
+    for seed in range(5):
+        analyze(random_chain(random_connected_graph(12, seed), seed + 1))
+    assert calls == {"eigvalsh": 10, "eigvals": 5}
