@@ -22,11 +22,6 @@ import numpy as np
 
 from .markov import ChainAnalysis, JsonRecord
 
-AGE_REPORT_CSV_FIELDS = [
-    "n", "network_peak", "network_avg", "lower_bound_avg", "upper_bound_avg",
-    "peak_opt_value",
-]
-
 
 @dataclass(frozen=True)
 class AgeReport(JsonRecord):

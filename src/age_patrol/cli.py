@@ -24,14 +24,14 @@ import click
 import numpy as np
 
 from .aoi_analysis import analytic_ages, average_age_lower_bound, peak_optimal_value
-from .dissemination import (EVENT_LOG_HORIZON_LIMIT, policy_from_design, separation_policy,
-                            simulate_dissemination, dissemination_report)
+from .dissemination import (EVENT_CSV_FIELDS, EVENT_LOG_HORIZON_LIMIT, policy_from_design,
+                            separation_policy, simulate_dissemination, dissemination_report)
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 from .markov import analyze
-from .simulation import (TRACE_HORIZON_LIMIT, _check_window, simulate_age_based,
-                         simulate_periodic, simulate_randomized)
+from .simulation import (AGE_FUNCTIONS, TRACE_HORIZON_LIMIT, _check_window,
+                         simulate_age_based, simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
                                 design_objective)
 
@@ -41,6 +41,7 @@ EXIT_NUMERICAL = 4
 RUN_CSV_FIELDS = ["row_type", "policy", "seed", "horizon", "burn_in",
                   "network_peak", "network_avg", "peak_stderr", "avg_stderr"]
 SWEEP_CSV_FIELDS = ["n", "policy", "metric", "value", "stderr"]
+POLICIES = ("mh", "fastest", "age_based", "periodic")
 
 GEOMETRIC_SIZES = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 GRID_SIDES = [3, 4, 5, 6, 7, 8, 9]
@@ -158,31 +159,21 @@ def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, ou
     click.echo(f"wrote {family} graph with n={g.n}, {len(g.edges)} directed edges -> {output}")
 
 
-def _solver_options(max_iterations, patience, schedule) -> SolverOptions:
-    base = SolverOptions()
-    return SolverOptions(
-        max_iterations=max_iterations or base.max_iterations,
-        patience=patience or base.patience,
-        step_schedule=schedule or base.step_schedule,
-    )
-
-
 @main.command("design")
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--method", type=click.Choice(["mh", "fastest"]), required=True)
 @click.option("--max-iterations", type=int, default=None)
-@click.option("--patience", type=int, default=None)
-@click.option("--schedule", type=click.Choice(["adaptive", "sqrt"]), default=None)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @_cli_errors
-def cmd_design(graph_path, method, max_iterations, patience, schedule, output):
+def cmd_design(graph_path, method, max_iterations, output):
     """Build a randomized trajectory and print its analytic age report."""
     g = load_graph(graph_path)
     if method == "mh":
         design = build_mh(g)
     else:
-        design = build_fastest_mixing(g, _solver_options(max_iterations, patience, schedule))
+        opts = SolverOptions(max_iterations=max_iterations) if max_iterations else None
+        design = build_fastest_mixing(g, opts)
     analysis = analyze(design.matrix, pi=design.target_pi)
     report = analytic_ages(analysis, g.weights)
     objective = design.objective
@@ -250,10 +241,26 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
+        """Load a config file; a key, type or choice the CLI would not accept is a usage error."""
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise click.UsageError("a config file must hold a JSON object")
         unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(ExperimentConfig):
+            if f.name not in payload or payload[f.name] is None and f.type.endswith("| None"):
+                continue
+            value = payload[f.name]
+            kind = {"int": int, "int | None": int, "float": (int, float)}.get(f.type)
+            # a JSON true is no number, though bool is an int to isinstance
+            if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise click.UsageError(f"config key {f.name} must be a JSON number of type "
+                                       f"{f.type.split(' |')[0]}, not {value!r}")
+        for key, choices in (("policy", POLICIES), ("g_fn", AGE_FUNCTIONS)):
+            if key in payload and payload[key] not in choices:
+                raise click.UsageError(f"config key {key} must be one of {choices}, "
+                                       f"not {payload[key]!r}")
         return ExperimentConfig(**payload)
 
     def override(self, ctx, flag_map: dict) -> None:
@@ -306,8 +313,7 @@ def _gathering_run(g, policy, sequence, g_fn, horizon, burn_in, start, matrix, s
         return simulate_randomized(g, matrix, horizon, burn_in, seed=seed, start=start,
                                    record_trace=record)
     if policy == "age_based":
-        return simulate_age_based(g, g_fn, horizon, burn_in, seed=seed, start=start,
-                                  record_trace=record)
+        return simulate_age_based(g, g_fn, horizon, burn_in, start=start, record_trace=record)
     return simulate_periodic(g, sequence, horizon, burn_in, record_trace=record)
 
 
@@ -343,11 +349,9 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 
 @main.command("simulate")
 @click.option("--graph", "graph_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--policy", type=click.Choice(["mh", "fastest", "age_based", "periodic"]),
-              default="mh")
+@click.option("--policy", type=click.Choice(POLICIES), default="mh")
 @click.option("--sequence", default=None, help="comma-separated periodic visit sequence")
-@click.option("--g-fn", type=click.Choice(["quadratic_plus_linear", "identity"]),
-              default="quadratic_plus_linear")
+@click.option("--g-fn", type=click.Choice(AGE_FUNCTIONS), default="quadratic_plus_linear")
 @click.option("--horizon", type=int, default=50_000)
 @click.option("--burn-in", type=int, default=None)
 @click.option("--replications", type=int, default=1)
@@ -441,7 +445,7 @@ def cmd_disseminate(ctx, graph_path, horizon, burn_in, replications, seeds, star
     if events_path:
         with open(events_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "event", "terminal", "generated"])
+            writer.writerow(EVENT_CSV_FIELDS)
             for t, kind, terminal, gen in events:
                 writer.writerow([t, kind, terminal, "" if gen is None else gen])
         click.echo(f"wrote events -> {events_path}")
@@ -468,7 +472,7 @@ def _sweep_point(args) -> dict:
     fast = build_fastest_mixing(g, opts)
     mh_report = analytic_ages(analyze(mh.matrix, pi=mh.target_pi), g.weights)
     fast_report = analytic_ages(analyze(fast.matrix, pi=fast.target_pi), g.weights)
-    age_stats = simulate_age_based(g, horizon=horizon, seed=base_seed, start=0)
+    age_stats = simulate_age_based(g, horizon=horizon, start=0)
     point = {
         "family": family, "n": g.n,
         "mh_peak": mh_report.network_peak, "mh_avg": mh_report.network_avg,

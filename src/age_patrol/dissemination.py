@@ -33,10 +33,12 @@ from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze
 from .simulation import AgeStats, _check_window, _Recorder, _row_samplers, _sampler
-from .trajectory_design import DesignResult, SolverOptions, build_fastest_mixing
+from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_LOG_HORIZON_LIMIT = 100_000
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
+# a queue backlog above this many packets triggers one QueueBacklogWarning per run
+QUEUE_WARNING_THRESHOLD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -260,14 +262,14 @@ def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     )
 
 
-def separation_policy(g: MobilityGraph, weights=None,
-                      solver_opts: SolverOptions | None = None,
-                      design: DesignResult | None = None) -> DisseminationPolicy:
-    """Fastest-mixing trajectory plus rates pi_i / (1 + sqrt(z_ii - pi_i))."""
-    if weights is not None:
-        g = g.with_weights(weights)
+def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> DisseminationPolicy:
+    """Fastest-mixing trajectory plus rates pi_i / (1 + sqrt(z_ii - pi_i)).
+
+    The weights are the graph's (`g.with_weights` overrides them); `design`
+    reuses a trajectory already built for g instead of solving again.
+    """
     if design is None:
-        design = build_fastest_mixing(g, solver_opts)
+        design = build_fastest_mixing(g)
     policy = policy_from_design(design)
     policy.validate()
     return policy
@@ -275,8 +277,7 @@ def separation_policy(g: MobilityGraph, weights=None,
 
 def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizon: int,
                            burn_in: int | None = None, seed: int = 0, start: int = 0,
-                           record_events: bool = False,
-                           queue_warning_threshold: int = 1_000_000):
+                           record_events: bool = False):
     """Simulate queued dissemination along the policy's random walk.
 
     Slot order: arrivals join their queues, then the visited terminal's
@@ -326,9 +327,9 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
         if not warned and t & check_mask == 0:
             for i in range(n):
                 backlog = bisect_right(arrivals[i], t) - ptr[i]
-                if backlog > queue_warning_threshold:
+                if backlog > QUEUE_WARNING_THRESHOLD:
                     warnings.warn(
-                        f"queue {i} backlog {backlog} exceeds {queue_warning_threshold} "
+                        f"queue {i} backlog {backlog} exceeds {QUEUE_WARNING_THRESHOLD} "
                         f"at slot {t}; the system looks unstable",
                         QueueBacklogWarning, stacklevel=2)
                     warned = True

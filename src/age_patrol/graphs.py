@@ -80,13 +80,13 @@ def bfs_distances(adjacency, source: int) -> list:
     return dist
 
 
-def _strongly_connected(n: int, edges) -> bool:
-    fwd = [[] for _ in range(n)]
-    bwd = [[] for _ in range(n)]
-    for i, j in edges:
-        fwd[i].append(j)
-        bwd[j].append(i)
-    return -1 not in bfs_distances(fwd, 0) and -1 not in bfs_distances(bwd, 0)
+def strongly_connected(adjacency) -> bool:
+    """True iff node 0 reaches every node along the lists and every node reaches 0."""
+    reverse = [[] for _ in adjacency]
+    for u, out in enumerate(adjacency):
+        for v in out:
+            reverse[v].append(u)
+    return -1 not in bfs_distances(adjacency, 0) and -1 not in bfs_distances(reverse, 0)
 
 
 def _validate(g: MobilityGraph) -> None:
@@ -107,7 +107,7 @@ def _validate(g: MobilityGraph) -> None:
         raise GraphValidationError("coords must be an (n, 2) array")
     if g.coords is not None and not np.all(np.isfinite(g.coords)):
         raise GraphValidationError("coords must be finite")
-    if not _strongly_connected(g.n, g.edges):
+    if not strongly_connected(g.neighbors):
         raise DisconnectedGraphError("graph is not strongly connected")
 
 
@@ -138,10 +138,12 @@ def generate_random_geometric(n: int, r: float, seed: int) -> MobilityGraph:
         dist = np.sqrt((delta ** 2).sum(axis=2))
         ii, jj = np.nonzero((dist <= r) & ~np.eye(n, dtype=bool))
         edges = frozenset(zip(ii.tolist(), jj.tolist()))
-        if _strongly_connected(n, edges):
-            meta = {"family": "geometric", "seed": seed,
-                    "params": {"n": n, "r": r, "attempts": attempt + 1}}
+        meta = {"family": "geometric", "seed": seed,
+                "params": {"n": n, "r": r, "attempts": attempt + 1}}
+        try:
             return MobilityGraph(n, edges, np.ones(n), pts, meta)
+        except DisconnectedGraphError:
+            continue
     raise DisconnectedGraphError(
         f"disconnected after max attempts ({MAX_GEOMETRIC_ATTEMPTS}); radius {r} too small for n={n}")
 

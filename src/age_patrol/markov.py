@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import TOL
 from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
-from .graphs import bfs_distances
+from .graphs import strongly_connected
 
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 # largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
@@ -161,10 +161,7 @@ class ChainAnalysis:
 
 def check_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support digraph of P is strongly connected."""
-    support = P.p > 0
-    fwd = [np.flatnonzero(row).tolist() for row in support]
-    bwd = [np.flatnonzero(col).tolist() for col in support.T]
-    return -1 not in bfs_distances(fwd, 0) and -1 not in bfs_distances(bwd, 0)
+    return strongly_connected([np.flatnonzero(row).tolist() for row in P.p > 0])
 
 
 def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
@@ -246,12 +243,17 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
     """Bundle stationary distribution, fundamental matrix, discrepancy, SLEM.
 
     ``pi`` may be supplied when it is known in closed form (e.g. for a
-    designed chain); it is then verified rather than re-solved.
+    designed chain); it is then verified rather than re-solved: it must be
+    a positive distribution (summing to 1 within ``TOL.pi_norm``, since every
+    multiple of pi is also a left fixed point) and stationary for P.
     """
     if pi is None:
         pi = stationary_distribution(P)
     else:
         pi = np.asarray(pi, dtype=float)
+        # written so that a NaN entry fails it
+        if not (pi.shape == (P.n,) and np.all(pi > 0) and abs(pi.sum() - 1.0) <= TOL.pi_norm):
+            raise ValueError("supplied pi is not a positive distribution on the chain's states")
         if not check_irreducible(P):
             raise ReducibleChainError("chain is reducible")
         if np.max(np.abs(pi @ P.p - pi)) > TOL.design_pi_residual:

@@ -28,6 +28,8 @@ from .graphs import MobilityGraph, bfs_distances
 from .markov import JsonRecord, TransitionMatrix
 
 TRACE_HORIZON_LIMIT = 100_000
+# the age functions g of the age-based walker, by name
+AGE_FUNCTIONS = ("quadratic_plus_linear", "identity")
 _WALK_BUFFER = 1 << 16
 # guard rails for the exhaustive periodic-trajectory search
 BRUTE_FORCE_MAX_TERMINALS = 8
@@ -210,33 +212,24 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
 
 
 def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: int = 50_000,
-                       burn_in: int | None = None, seed: int = 0, start: int = 0,
-                       weights=None, record_trace: bool = False):
+                       burn_in: int | None = None, start: int = 0,
+                       record_trace: bool = False):
     """Greedy walker: move to the neighbour j maximizing w_j * g(A_j(t)).
 
-    Ties break to the lowest index, so the walk is deterministic (seed is
-    accepted for interface uniformity but never used).  g_fn is
-    "quadratic_plus_linear" (a^2 + a, the default), "identity", or any
-    increasing callable.
+    g_fn names g: "quadratic_plus_linear" (a^2 + a, the default) or
+    "identity".  Ties break to the lowest index, so the walk is
+    deterministic and draws no random numbers.
     """
-    del seed  # deterministic policy
+    if g_fn not in AGE_FUNCTIONS:
+        raise ValueError(f"unknown age function: {g_fn!r}")
+    quadratic = g_fn == "quadratic_plus_linear"
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
     nbrs = g.neighbors
     if any(not lst for lst in nbrs):
         raise ValueError("age-based walker needs positive out-degree everywhere")
-    w = (g.weights if weights is None else np.asarray(weights, dtype=float)).tolist()
-
-    if callable(g_fn):
-        fn = g_fn
-        mode = "callable"
-    elif g_fn == "quadratic_plus_linear":
-        mode = "quadratic"
-    elif g_fn == "identity":
-        mode = "identity"
-    else:
-        raise ValueError(f"unknown age function: {g_fn!r}")
+    w = g.weights.tolist()
 
     rec = _Recorder(g.n, horizon, burn_in)
     deliver = rec.deliver
@@ -249,22 +242,16 @@ def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: 
             log.append(cur)
         best_val = -1.0
         best_j = -1
-        if mode == "quadratic":
+        if quadratic:
             for j in nbrs[cur]:
                 a = t - last[j]
                 val = w[j] * (a * a + a)
                 if val > best_val:
                     best_val = val
                     best_j = j
-        elif mode == "identity":
-            for j in nbrs[cur]:
-                val = w[j] * (t - last[j])
-                if val > best_val:
-                    best_val = val
-                    best_j = j
         else:
             for j in nbrs[cur]:
-                val = w[j] * fn(t - last[j])
+                val = w[j] * (t - last[j])
                 if val > best_val:
                     best_val = val
                     best_j = j
@@ -351,7 +338,7 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
     return _gathering_result(rec, g, seq * (horizon // length) if record_trace else None)
 
 
-def brute_force_optimal_periodic(g: MobilityGraph, max_period: int, weights=None):
+def brute_force_optimal_periodic(g: MobilityGraph, max_period: int):
     """Exhaustive search for the best periodic trajectory of bounded period.
 
     Enumerates closed walks from terminal 0 of length <= max_period that
@@ -366,7 +353,7 @@ def brute_force_optimal_periodic(g: MobilityGraph, max_period: int, weights=None
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_TERMINALS}")
     if not 1 <= max_period <= BRUTE_FORCE_MAX_PERIOD:
         raise ValueError(f"brute force limited to max_period <= {BRUTE_FORCE_MAX_PERIOD}")
-    w = g.weights if weights is None else np.asarray(weights, dtype=float)
+    w = g.weights
     n = g.n
     nbrs = g.neighbors
     dist = [bfs_distances(nbrs, src) for src in range(n)]

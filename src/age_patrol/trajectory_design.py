@@ -8,11 +8,11 @@ sqrt(weight) (which minimizes network peak age):
 * ``build_fastest_mixing`` — minimizes the spectral norm ||P - Pi*||_2
   over row-stochastic P supported on the edge set plus the diagonal and
   satisfying pi* P = pi*.  Smaller norm means faster mixing and, in
-  practice, lower average age.  Solved by projected subgradient descent:
-  the subgradient of the spectral norm is the outer product of the top
-  singular pair, and feasibility is restored after every step by Dykstra
-  alternating projections between the affine constraint set and the
-  nonnegative cone.  The top pair comes from a block of right Ritz
+  practice, lower average age.  Solved by projected subgradient descent
+  with one step rule, a level-tracking Polyak step: the subgradient of
+  the spectral norm is the outer product of the top singular pair, and
+  feasibility is restored after every step by Dykstra alternating
+  projections between the affine constraint set and the nonnegative cone.  The top pair comes from a block of right Ritz
   vectors carried from one iteration to the next and refined by a few
   subspace-iteration steps; when its residual stays above tolerance the
   exact full SVD answers instead.  Warm-started at the Metropolis chain,
@@ -22,7 +22,6 @@ sqrt(weight) (which minimizes network peak age):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,17 +44,19 @@ class DesignResult(JsonRecord):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The fastest-mixing solver's one setting; its step rule and tolerances are constants."""
+
     max_iterations: int = 5000
-    patience: int = 200             # stop once best objective stalls this long
-    improvement_tol: float = 1e-8
-    step_schedule: str = "adaptive"  # "adaptive" (level-tracking) or "sqrt" (c/sqrt(t))
-    step_scale: float = 0.5          # c = step_scale * warm-start objective for "sqrt"
-    level_fraction: float = 0.25     # initial level gap as fraction of warm-start objective
-    level_shrink_every: int = 50
-    level_floor: float = 1e-12
-    dykstra_max_sweeps: int = 1000
-    dykstra_tol: float = 1e-9
-    blend_epsilon: float = 1e-3      # Metropolis blend used to restore irreducibility
+
+
+_PATIENCE = 200             # stop once the best objective stalls this long
+_IMPROVEMENT_TOL = 1e-8
+_LEVEL_FRACTION = 0.25      # initial level gap as a fraction of the warm-start objective
+_LEVEL_SHRINK_EVERY = 50
+_LEVEL_FLOOR = 1e-12
+_DYKSTRA_MAX_SWEEPS = 1000
+_DYKSTRA_TOL = 1e-9
+_BLEND_EPSILON = 1e-3       # Metropolis blend used to restore irreducibility
 
 
 def target_distribution(weights) -> np.ndarray:
@@ -145,12 +146,12 @@ class _FeasibleSet:
         lam = self.m_pinv @ gap
         return x - (lam[: self.n][self.rows] + self.pi_rows * lam[self.n:][self.cols])
 
-    def dykstra(self, x: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+    def dykstra(self, x: np.ndarray, tol: float) -> np.ndarray:
         # one constraint evaluation per sweep: the gap of the sweep's result
         # serves both its residual test and the next sweep's projection
         correction = np.zeros_like(x)
         gap = self.constraint_values(x) - self.b
-        for _ in range(max_sweeps):
+        for _ in range(_DYKSTRA_MAX_SWEEPS):
             y = self.project_affine(x, gap)
             shifted = y + correction
             x = np.maximum(shifted, 0.0)
@@ -162,7 +163,7 @@ class _FeasibleSet:
             return x
         raise SolverError(
             f"projection failed to reach feasibility within {TOL.feasibility:g} "
-            f"after {max_sweeps} sweeps")
+            f"after {_DYKSTRA_MAX_SWEEPS} sweeps")
 
 
 # Top singular pair by warm-started block subspace iteration with
@@ -224,7 +225,7 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
     best_f = f_mh
     best_hist = np.full(opts.max_iterations + 1, f_mh)
 
-    delta = max(opts.level_fraction * f_mh, 1e-9)
+    delta = max(_LEVEL_FRACTION * f_mh, 1e-9)
     best_at_checkpoint = best_f
     converged = False
     iterations = 0
@@ -236,33 +237,28 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
             best_f = f
             best_x = x.copy()
         best_hist[t] = best_f
-        if t > opts.patience and best_hist[t - opts.patience] - best_f < opts.improvement_tol:
+        if t > _PATIENCE and best_hist[t - _PATIENCE] - best_f < _IMPROVEMENT_TOL:
             converged = True
             break
 
         grad = u1[feas.rows] * v1[feas.cols]
-        if opts.step_schedule == "adaptive":
-            gn2 = float(grad @ grad)
-            step = (f - (best_f - delta)) / max(gn2, 1e-12)
-            step = min(step, 100.0)
-            if t % opts.level_shrink_every == 0:
-                if best_at_checkpoint - best_f < delta / 10.0:
-                    delta = max(delta / 2.0, opts.level_floor)
-                best_at_checkpoint = best_f
-        elif opts.step_schedule == "sqrt":
-            step = opts.step_scale * f_mh / math.sqrt(t)
-        else:
-            raise ValueError(f"unknown step schedule: {opts.step_schedule!r}")
-        x = feas.dykstra(x - step * grad, opts.dykstra_tol, opts.dykstra_max_sweeps)
+        # Polyak step toward the level best_f - delta; delta halves when stalled
+        gn2 = float(grad @ grad)
+        step = (f - (best_f - delta)) / max(gn2, 1e-12)
+        step = min(step, 100.0)
+        if t % _LEVEL_SHRINK_EVERY == 0:
+            if best_at_checkpoint - best_f < delta / 10.0:
+                delta = max(delta / 2.0, _LEVEL_FLOOR)
+            best_at_checkpoint = best_f
+        x = feas.dykstra(x - step * grad, _DYKSTRA_TOL)
 
-    x = feas.dykstra(best_x, min(opts.dykstra_tol, 1e-10), opts.dykstra_max_sweeps)
+    x = feas.dykstra(best_x, 1e-10)  # the returned design is projected more tightly
     p = feas.scatter(np.maximum(x, 0.0))
     p /= p.sum(axis=1, keepdims=True)
 
     if not check_irreducible(TransitionMatrix(p)):
-        eps = opts.blend_epsilon
         # convex blend with the feasible Metropolis chain restores irreducibility
-        p = (1.0 - eps) * p + eps * mh.matrix.p
+        p = (1.0 - _BLEND_EPSILON) * p + _BLEND_EPSILON * mh.matrix.p
 
     objective = design_objective(p, pi)
     if objective > f_mh:

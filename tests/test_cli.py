@@ -389,3 +389,38 @@ def test_figure_rows_follow_the_sweep_contents_table():
         assert {r["metric"] for r in rows} == {metric}
         assert [r["value"] for r in rows] == values * 2
         assert {r["stderr"] for r in rows} == {0.0}
+
+
+def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_path):
+    # a doubled target_pi is still a left fixed point of P, so only its sum betrays it
+    graph_path = tmp_path / "g.json"
+    design_path = tmp_path / "d.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "9", "--k", "2", "-o", str(graph_path)])
+    invoke(runner, ["design", "--graph", str(graph_path), "--method", "mh",
+                    "-o", str(design_path)])
+    payload = json.loads(design_path.read_text())
+    payload["target_pi"] = [2.0 * x for x in payload["target_pi"]]
+    design_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["disseminate", "--graph", str(graph_path),
+                                  "--design", str(design_path), "--horizon", "2000",
+                                  "-o", str(tmp_path / "diss.csv")])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "not a positive distribution" in result.output
+
+
+@pytest.mark.parametrize("payload", [
+    ["graph", "horizon"],
+    {"horizon": "100"},
+    {"rate_scale": "2"},
+    {"policy": "bogus"},
+], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy"])
+def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    cfg = tmp_path / "cfg.json"
+    if isinstance(payload, dict):
+        payload = {"graph": str(graph_path), "output": str(tmp_path / "o.csv"), **payload}
+    cfg.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config" in result.output

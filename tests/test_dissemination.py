@@ -8,7 +8,7 @@ import pytest
 from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy, PeriodicityWarning,
                         QueueBacklogWarning, QueueModelParams, StabilityError,
                         TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
-                        berg1_vacation_system_time, build_fastest_mixing,
+                        berg1_vacation_system_time, build_fastest_mixing, dissemination,
                         dissemination_report, generate_random_geometric, optimal_utilization,
                         policy_from_design, separation_policy, simulate_berg1_vacation,
                         simulate_dissemination, terminal_age_upper_bound)
@@ -182,14 +182,15 @@ def test_dissemination_deterministic_under_seed(k2):
     assert np.array_equal(a.per_terminal_peak, b.per_terminal_peak)
 
 
-def test_dissemination_backlog_warning(k2, swap_matrix):
+def test_dissemination_backlog_warning(k2, swap_matrix, monkeypatch):
     # rates just below the visit rate plus a tiny warning threshold
+    monkeypatch.setattr(dissemination, "QUEUE_WARNING_THRESHOLD", 40)
     policy = DisseminationPolicy(
         matrix=swap_matrix, target_pi=np.array([0.5, 0.5]),
         rates=np.array([0.499, 0.499]), rho=np.array([0.998, 0.998]),
         upper_bounds=np.full(2, np.inf), z_diag=np.array([0.75, 0.75]), discrepancy=0.5)
     with pytest.warns(QueueBacklogWarning):
-        simulate_dissemination(k2, policy, 200_000, seed=1, queue_warning_threshold=40)
+        simulate_dissemination(k2, policy, 200_000, seed=1)
 
 
 def test_dissemination_never_beats_gathering():

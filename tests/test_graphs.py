@@ -186,3 +186,12 @@ def test_graph_rejects_self_loop():
 def test_graph_requires_two_terminals():
     with pytest.raises(GraphValidationError):
         MobilityGraph(1, set(), [1.0])
+
+
+def test_directed_graph_must_be_strongly_connected():
+    # a one-way cycle is strongly connected; dropping one arc leaves a path
+    # that node 0 traverses but that never leads back to it
+    cycle = {(0, 1), (1, 2), (2, 0)}
+    assert not MobilityGraph(3, cycle, [1.0, 1.0, 1.0]).is_symmetric()
+    with pytest.raises(DisconnectedGraphError):
+        MobilityGraph(3, cycle - {(2, 0)}, [1.0, 1.0, 1.0])

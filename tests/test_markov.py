@@ -54,6 +54,13 @@ def test_irreducibility_block_diagonal_false():
     assert not check_irreducible(TransitionMatrix(p))
 
 
+def test_irreducibility_needs_both_directions():
+    # 0 -> 1 -> 2 reaches every state from 0, but state 2 never returns
+    p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    assert not check_irreducible(TransitionMatrix(p))
+    assert check_irreducible(TransitionMatrix(np.roll(np.eye(3), 1, axis=1)))
+
+
 def test_stationary_two_cycle(swap_matrix):
     assert np.allclose(stationary_distribution(swap_matrix), [0.5, 0.5], atol=1e-12)
 
@@ -61,6 +68,15 @@ def test_stationary_two_cycle(swap_matrix):
 def test_stationary_rejects_reducible():
     with pytest.raises(ReducibleChainError):
         stationary_distribution(TransitionMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("scale", [2.0, -1.0, np.nan], ids=["doubled", "negated", "nan"])
+def test_analyze_rejects_supplied_pi_that_is_not_a_distribution(k2, scale):
+    # every multiple of pi also solves pi P = pi, so stationarity alone passes 2 pi
+    design = build_mh(k2.with_weights([1.0, 4.0]))
+    analyze(design.matrix, design.target_pi)
+    with pytest.raises(ValueError, match="not a positive distribution"):
+        analyze(design.matrix, scale * design.target_pi)
 
 
 def test_stationary_of_mh_chain_hits_sqrt_weight_target(k2):

@@ -86,10 +86,7 @@ def test_age_based_invariant_under_monotone_transform():
     _, t_quad = simulate_age_based(g, "quadratic_plus_linear", horizon=4000, burn_in=0,
                                      record_trace=True)
     _, t_id = simulate_age_based(g, "identity", horizon=4000, burn_in=0, record_trace=True)
-    _, t_cb = simulate_age_based(g, lambda a: a ** 3, horizon=4000, burn_in=0,
-                                 record_trace=True)
     assert np.array_equal(t_quad.visit_log, t_id.visit_log)
-    assert np.array_equal(t_quad.visit_log, t_cb.visit_log)
 
 
 def test_age_based_covers_every_window():
@@ -199,7 +196,7 @@ def test_brute_force_weighted_prefers_heavy_terminal():
     # two terminals, weight 9 vs 1: visiting both each period is forced on K2,
     # but on a triangle the heavy terminal gets visited more often
     g = make_complete(3, weights=np.array([9.0, 1.0, 1.0]))
-    seq, avg, peak = brute_force_optimal_periodic(g, 4, weights=g.weights)
+    seq, avg, peak = brute_force_optimal_periodic(g, 4)
     # oracle: enumerate the two plausible candidates by hand
     short = periodic_exact_ages([0, 1, 2], g.weights).network_avg
     heavy = periodic_exact_ages([0, 1, 0, 2], g.weights).network_avg
