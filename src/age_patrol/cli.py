@@ -257,6 +257,11 @@ class ExperimentConfig:
             if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
                 raise click.UsageError(f"config key {f.name} must be a JSON number of type "
                                        f"{f.type.split(' |')[0]}, not {value!r}")
+        seeds = payload.get("seeds")
+        if seeds is not None and not (isinstance(seeds, list) and all(
+                isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+            raise click.UsageError(f"config key seeds must be a JSON array of integers, "
+                                   f"not {seeds!r}")
         for key, choices in (("policy", POLICIES), ("g_fn", AGE_FUNCTIONS)):
             if key in payload and payload[key] not in choices:
                 raise click.UsageError(f"config key {key} must be one of {choices}, "

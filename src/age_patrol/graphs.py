@@ -56,6 +56,12 @@ class MobilityGraph:
     def out_degree(self) -> np.ndarray:
         return np.array([len(lst) for lst in self.neighbors], dtype=int)
 
+    @cached_property
+    def edge_index(self) -> tuple:
+        """(rows, cols) integer arrays of the edges, in row-major order."""
+        cols = np.array([j for lst in self.neighbors for j in lst], dtype=int)
+        return np.repeat(np.arange(self.n), self.out_degree), cols
+
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
@@ -119,6 +125,20 @@ def _symmetric_edges(pairs) -> frozenset:
     return frozenset(out)
 
 
+def _pairs_within(pts: np.ndarray, r: float) -> tuple:
+    """Index arrays of the ordered pairs of distinct points at Euclidean distance <= r."""
+    # one coordinate at a time: two n x n float arrays, not an (n, n, 2) cube
+    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
+    dist *= dist
+    step = np.subtract.outer(pts[:, 1], pts[:, 1])
+    step *= step
+    dist += step
+    np.sqrt(dist, out=dist)
+    near = dist <= r
+    np.fill_diagonal(near, False)
+    return np.nonzero(near)
+
+
 def generate_random_geometric(n: int, r: float, seed: int) -> MobilityGraph:
     """Random geometric graph on the unit square with connection radius r.
 
@@ -134,9 +154,7 @@ def generate_random_geometric(n: int, r: float, seed: int) -> MobilityGraph:
     for attempt in range(MAX_GEOMETRIC_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         pts = rng.random((n, 2))
-        delta = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((delta ** 2).sum(axis=2))
-        ii, jj = np.nonzero((dist <= r) & ~np.eye(n, dtype=bool))
+        ii, jj = _pairs_within(pts, r)
         edges = frozenset(zip(ii.tolist(), jj.tolist()))
         meta = {"family": "geometric", "seed": seed,
                 "params": {"n": n, "r": r, "attempts": attempt + 1}}

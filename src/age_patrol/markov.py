@@ -5,8 +5,10 @@ row-stochastic matrix P:
 
 * the stationary distribution ``pi`` solving pi P = pi, from one square
   solve of (I - P + 1 1^T)^T pi^T = 1,
-* the fundamental matrix ``Z = (I - P + Pi)^-1`` with Pi stacking pi in
-  every row (its diagonal encodes return-time second moments),
+* the fundamental matrix ``Z = M^-1``, M = I - P + 1 pi^T, whose
+  diagonal encodes return-time second moments; `_fundamental_system` is
+  the one builder of M and `_fundamental_residual` the one check of
+  max|M Z - I|,
 * the discrepancy ``max_i sum_j |z_ij - pi_j|``, a computable mixing
   surrogate,
 * the SLEM (second-largest eigenvalue modulus), a classical mixing
@@ -14,8 +16,12 @@ row-stochastic matrix P:
   symmetric eigensolver on D^1/2 P D^-1/2, D = diag(pi).
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
-exactly testable O(n^3) solves beat iterative machinery.  `JsonRecord` is
-the one JSON codec of the package's result records.
+exactly testable O(n^3) solves beat iterative machinery.  At n = 2000 an
+n x n float64 array is 30.5 MiB, so these routines keep no n x n
+temporary beyond what their LAPACK call needs: M is built in place, the
+residual check rebuilds M a block of rows at a time from P, and
+elementwise steps write into an array the routine already holds.
+`JsonRecord` is the one JSON codec of the package's result records.
 """
 
 from __future__ import annotations
@@ -61,13 +67,13 @@ class TransitionMatrix:
         return self.p.shape[0]
 
     def support_violations(self, graph) -> list:
-        """Off-diagonal positive entries that are not edges of the graph."""
-        bad = []
-        for i, j in zip(*np.nonzero(self.p > 0)):
-            i, j = int(i), int(j)
-            if i != j and not graph.has_edge(i, j):
-                bad.append((i, j))
-        return bad
+        """Off-diagonal positive entries that are not edges of the graph, in row-major order."""
+        off_support = self.p > 0
+        np.fill_diagonal(off_support, False)
+        rows, cols = graph.edge_index
+        inside = (rows < self.n) & (cols < self.n)
+        off_support[rows[inside], cols[inside]] = False
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(off_support))]
 
 
 class JsonRecord:
@@ -152,8 +158,7 @@ class ChainAnalysis:
             raise NumericalError("stationary distribution does not sum to 1")
         if np.any(self.pi <= 0):
             raise NumericalError("stationary distribution must be positive")
-        lhs = (np.eye(self.n) - p + np.tile(self.pi, (self.n, 1))) @ self.z
-        if np.max(np.abs(lhs - np.eye(self.n))) > TOL.fundamental_residual:
+        if _fundamental_residual(p, self.pi, self.z) > TOL.fundamental_residual:
             raise NumericalError("fundamental matrix residual out of tolerance")
         if self.discrepancy < 0:
             raise NumericalError("discrepancy must be nonnegative")
@@ -162,6 +167,34 @@ class ChainAnalysis:
 def check_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support digraph of P is strongly connected."""
     return strongly_connected([np.flatnonzero(row).tolist() for row in P.p > 0])
+
+
+# rows of M rebuilt per block of the residual check; a block of M and its
+# product with Z are each this many rows of n floats
+_RESIDUAL_BLOCK_ROWS = 256
+
+
+def _fundamental_system(p: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """M = I - P + 1 pi^T, built in one n x n array (pi = 1 gives I - P + 1 1^T)."""
+    m = np.negative(p)
+    m.flat[::p.shape[0] + 1] += 1.0
+    m += pi[None, :]
+    return m
+
+
+def _fundamental_residual(p: np.ndarray, pi: np.ndarray, z: np.ndarray) -> float:
+    """max|M Z - I| for M = I - P + 1 pi^T, rebuilding M a block of rows at a time."""
+    n = p.shape[0]
+    worst = 0.0
+    for start in range(0, n, _RESIDUAL_BLOCK_ROWS):
+        stop = min(start + _RESIDUAL_BLOCK_ROWS, n)
+        block = np.negative(p[start:stop])
+        block.flat[start::n + 1] += 1.0  # entries (k, start + k)
+        block += pi[None, :]
+        lhs = block @ z
+        lhs.flat[start::n + 1] -= 1.0
+        worst = max(worst, float(np.abs(lhs, out=lhs).max()))
+    return worst
 
 
 def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
@@ -176,9 +209,8 @@ def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
     """
     if not check_irreducible(P):
         raise ReducibleChainError("chain is reducible; stationary distribution not unique")
-    n = P.n
-    a = np.eye(n) - P.p + 1.0
-    pi = np.linalg.solve(a.T, np.ones(n))
+    ones = np.ones(P.n)
+    pi = np.linalg.solve(_fundamental_system(P.p, ones).T, ones)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ P.p - pi)))
     if residual > TOL.pi_solve_residual or np.any(pi <= 0):
@@ -192,12 +224,10 @@ def fundamental_matrix(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if np.max(np.abs(pi @ P.p - pi)) > TOL.design_pi_residual:
         raise ValueError("pi is not stationary for P within tolerance")
-    n = P.n
-    m = np.eye(n) - P.p + np.tile(pi, (n, 1))
-    z = np.linalg.solve(m, np.eye(n))
-    residual = float(np.max(np.abs(m @ z - np.eye(n))))
+    z = np.linalg.inv(_fundamental_system(P.p, pi))
+    residual = _fundamental_residual(P.p, pi, z)
     if residual > TOL.fundamental_residual:
-        cond = float(np.linalg.cond(m))
+        cond = float(np.linalg.cond(_fundamental_system(P.p, pi)))
         raise NumericalError(
             f"fundamental solve residual {residual:.3e} (condition estimate {cond:.3e}"
             f"{' > limit' if cond > TOL.condition_limit else ''})")
@@ -221,9 +251,14 @@ def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
     moduli = None
     if pi is not None and np.all(np.asarray(pi) > 0):
         root = np.sqrt(pi)
-        s = P.p * root[:, None] / root[None, :]
-        if np.max(np.abs(s - s.T).sum(axis=1)) / 2 <= _SYMMETRIC_SPECTRUM_TOL:
-            moduli = np.abs(np.linalg.eigvalsh((s + s.T) / 2))
+        s = np.multiply(P.p, root[:, None])
+        s /= root[None, :]
+        work = np.subtract(s, s.T)
+        if np.abs(work, out=work).sum(axis=1).max() / 2 <= _SYMMETRIC_SPECTRUM_TOL:
+            np.add(s, s.T, out=work)
+            del s  # eigvalsh copies its input; S is not needed beside that copy
+            work /= 2
+            moduli = np.abs(np.linalg.eigvalsh(work))
     if moduli is None:
         moduli = np.abs(np.linalg.eigvals(P.p))
     moduli = np.sort(moduli)[::-1]
@@ -236,7 +271,8 @@ def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
 
 def discrepancy_of(z: np.ndarray, pi: np.ndarray) -> float:
     """max_i sum_j |z_ij - pi_j|."""
-    return float(np.max(np.abs(z - pi[None, :]).sum(axis=1)))
+    deviation = np.subtract(z, pi[None, :])
+    return float(np.abs(deviation, out=deviation).sum(axis=1).max())
 
 
 def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:

@@ -70,8 +70,7 @@ def target_distribution(weights) -> np.ndarray:
 
 def design_objective(p: np.ndarray, target_pi: np.ndarray) -> float:
     """Spectral norm of P - Pi* with Pi* stacking pi* in every row."""
-    return float(np.linalg.svd(p - np.tile(target_pi, (len(target_pi), 1)),
-                               compute_uv=False)[0])
+    return float(np.linalg.svd(p - target_pi[None, :], compute_uv=False)[0])
 
 
 def build_mh(g: MobilityGraph) -> DesignResult:
@@ -86,19 +85,18 @@ def build_mh(g: MobilityGraph) -> DesignResult:
     pi = target_distribution(g.weights)
     n = g.n
     deg = g.out_degree.astype(float)
+    rows, cols = g.edge_index
+    accept = np.minimum(1.0, (pi[cols] * deg[rows]) / (pi[rows] * deg[cols]))
     p = np.zeros((n, n))
-    for i in range(n):
-        for j in g.neighbors[i]:
-            accept = min(1.0, (pi[j] * deg[i]) / (pi[i] * deg[j]))
-            p[i, j] = accept / deg[i]
-        p[i, i] = max(0.0, 1.0 - p[i].sum())
+    p[rows, cols] = accept / deg[rows]
+    np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
     # exact row normalization guards against accumulated rounding
     p /= p.sum(axis=1, keepdims=True)
     matrix = TransitionMatrix(p)
     return DesignResult(
         matrix=matrix,
         target_pi=pi,
-        residuals=_design_residuals(matrix, g, pi),
+        residuals=_design_residuals(matrix, pi, matrix.support_violations(g)),
     )
 
 
@@ -127,6 +125,9 @@ class _FeasibleSet:
         m = np.block([[np.diag(d1), b12], [b12.T, np.diag(d2)]])
         self.m_pinv = np.linalg.pinv(m)
         self.b = np.concatenate([np.ones(n), pi])
+        # row sums land in bins 0..n-1 and column balances in bins n..2n-1
+        self.bins = np.concatenate([self.rows, self.cols + n])
+        self.bin_weights = np.empty(2 * len(pairs))
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         p = np.zeros((self.n, self.n))
@@ -137,29 +138,37 @@ class _FeasibleSet:
         return p[self.rows, self.cols].copy()
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        row_sums = np.bincount(self.rows, weights=x, minlength=self.n)
-        col_bal = np.bincount(self.cols, weights=self.pi_rows * x, minlength=self.n)
-        return np.concatenate([row_sums, col_bal])
+        """Row sums, then column balances sum_i pi*_i x_ij, of the support values x."""
+        m = len(x)
+        self.bin_weights[:m] = x
+        np.multiply(self.pi_rows, x, out=self.bin_weights[m:])
+        return np.bincount(self.bins, weights=self.bin_weights, minlength=2 * self.n)
 
     def project_affine(self, x: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Project x onto the affine set, given gap = constraint_values(x) - b."""
         lam = self.m_pinv @ gap
-        return x - (lam[: self.n][self.rows] + self.pi_rows * lam[self.n:][self.cols])
+        step = lam.take(self.rows)
+        col_part = lam.take(self.bins[len(x):])
+        col_part *= self.pi_rows
+        step += col_part
+        return np.subtract(x, step, out=step)
 
     def dykstra(self, x: np.ndarray, tol: float) -> np.ndarray:
         # one constraint evaluation per sweep: the gap of the sweep's result
         # serves both its residual test and the next sweep's projection
         correction = np.zeros_like(x)
-        gap = self.constraint_values(x) - self.b
+        gap = self.constraint_values(x)
+        gap -= self.b
         for _ in range(_DYKSTRA_MAX_SWEEPS):
-            y = self.project_affine(x, gap)
-            shifted = y + correction
+            shifted = self.project_affine(x, gap)
+            shifted += correction
             x = np.maximum(shifted, 0.0)
-            correction = shifted - x
-            gap = self.constraint_values(x) - self.b
-            if np.max(np.abs(gap)) <= tol:
+            np.subtract(shifted, x, out=correction)
+            gap = self.constraint_values(x)
+            gap -= self.b
+            if np.abs(gap).max() <= tol:
                 return x
-        if np.max(np.abs(gap)) <= TOL.feasibility:
+        if np.abs(gap).max() <= TOL.feasibility:
             return x
         raise SolverError(
             f"projection failed to reach feasibility within {TOL.feasibility:g} "
@@ -215,8 +224,10 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
     mh = build_mh(g)
     pi = mh.target_pi
     n = g.n
-    pi_star = np.tile(pi, (n, 1))
     feas = _FeasibleSet(g, pi)
+    pi_cols = pi[feas.cols]
+    # P - Pi* for the current iterate: -pi*_j off the support, x - pi*_j on it
+    deviation = np.empty((n, n))
     top_pair = _TopSingularPair()
 
     x = feas.gather(mh.matrix.p)
@@ -232,7 +243,9 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
 
     for t in range(1, opts.max_iterations + 1):
         iterations = t
-        u1, v1, f = top_pair(feas.scatter(x) - pi_star)
+        deviation[:] = -pi
+        deviation[feas.rows, feas.cols] = x - pi_cols
+        u1, v1, f = top_pair(deviation)
         if f < best_f:
             best_f = f
             best_x = x.copy()
@@ -266,7 +279,7 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
         objective = f_mh
 
     matrix = TransitionMatrix(p)
-    residuals = _design_residuals(matrix, g, pi)
+    residuals = _design_residuals(matrix, pi, matrix.support_violations(g))
     worst = max(residuals["row_stochastic"], residuals["stationary"],
                 residuals["nonnegative"], residuals["support"])
     if worst > TOL.feasibility:
@@ -281,9 +294,9 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
     )
 
 
-def _design_residuals(matrix: TransitionMatrix, g: MobilityGraph, target_pi: np.ndarray) -> dict:
+def _design_residuals(matrix: TransitionMatrix, target_pi: np.ndarray, violations: list) -> dict:
+    """Constraint residuals; ``violations`` is ``matrix.support_violations`` of the graph."""
     p = matrix.p
-    violations = matrix.support_violations(g)
     return {
         "row_stochastic": float(np.max(np.abs(p.sum(axis=1) - 1.0))),
         "stationary": float(np.max(np.abs(target_pi @ p - target_pi))),
@@ -295,8 +308,8 @@ def _design_residuals(matrix: TransitionMatrix, g: MobilityGraph, target_pi: np.
 def validate_design(P: TransitionMatrix, g: MobilityGraph, target_pi) -> dict:
     """Per-constraint pass/fail report with residuals."""
     target_pi = np.asarray(target_pi, dtype=float)
-    res = _design_residuals(P, g, target_pi)
     violations = P.support_violations(g)
+    res = _design_residuals(P, target_pi, violations)
     report = {
         "nonnegative": {"pass": res["nonnegative"] == 0.0, "residual": res["nonnegative"]},
         "row_stochastic": {"pass": res["row_stochastic"] <= TOL.row_sum,

@@ -1,0 +1,61 @@
+"""Bounds on the numpy memory the n x n analytics allocate.
+
+At n = 2000 every n x n float64 array is 30.5 MiB, so each temporary shows
+in a process's peak memory.  These tests run at n = 600 and count the peak
+of traced allocations (numpy reports its array buffers to tracemalloc) in
+units of one n x n float64 array, over what was allocated before the call.
+LAPACK's own work buffers are not traced.
+"""
+
+import math
+import tracemalloc
+
+import pytest
+
+from age_patrol import (analyze, assign_weights, build_mh, design_objective,
+                        generate_random_geometric)
+
+N = 600
+RADIUS = 2.0 / math.sqrt(N)
+UNIT = N * N * 8
+
+
+def peak_arrays(fn) -> float:
+    """Peak traced allocation of fn() in n x n float64 arrays; fn's result is held."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / UNIT
+
+
+@pytest.fixture(scope="module")
+def chain():
+    generate_random_geometric(50, 0.5, seed=0)  # one-time lazy set-up, not counted
+    g = assign_weights(generate_random_geometric(N, RADIUS, seed=1), "random_interval", seed=2)
+    design = build_mh(g)
+    return design, analyze(design.matrix)
+
+
+def test_geometric_generation_holds_two_distance_arrays(chain):
+    # seed 1 resamples twice, so the count includes a discarded attempt's edges
+    assert peak_arrays(lambda: generate_random_geometric(N, RADIUS, seed=1)) <= 3.0
+
+
+def test_analyze_peak(chain):
+    design, _ = chain
+    assert peak_arrays(lambda: analyze(design.matrix)) <= 3.1
+
+
+def test_validate_rebuilds_the_fundamental_system_in_row_blocks(chain):
+    _, analysis = chain
+    assert peak_arrays(analysis.validate) <= 1.5
+
+
+def test_design_objective_allocates_one_difference(chain):
+    design, _ = chain
+    assert peak_arrays(lambda: design_objective(design.matrix.p, design.target_pi)) <= 1.1

@@ -413,7 +413,11 @@ def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_p
     {"horizon": "100"},
     {"rate_scale": "2"},
     {"policy": "bogus"},
-], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy"])
+    {"seeds": ["a"]},
+    {"seeds": [1.5]},
+    {"seeds": [True]},
+], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy", "string-seed",
+        "float-seed", "bool-seed"])
 def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])

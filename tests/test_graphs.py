@@ -27,6 +27,23 @@ def test_geometric_matches_reference_distance_check():
     assert set(g.edges) == expected
 
 
+def test_geometric_matches_reference_at_scale_radius():
+    # r = 2/sqrt(n), the radius of the n=2000 analytics benchmark, on a smaller n
+    n = 300
+    r = 2.0 / math.sqrt(n)
+    g = generate_random_geometric(n, r, seed=5)
+    pts = g.coords.tolist()
+    expected = {(i, j) for i in range(n) for j in range(n)
+                if i != j and math.dist(pts[i], pts[j]) <= r}
+    assert set(g.edges) == expected
+
+
+def test_edge_index_lists_every_edge_in_row_major_order():
+    g = generate_ring_k(9, 2)
+    rows, cols = g.edge_index
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(g.edges)
+
+
 def test_geometric_zero_radius_reports_disconnection():
     with pytest.raises(DisconnectedGraphError, match="disconnected after max attempts"):
         generate_random_geometric(3, 0.0, seed=1)

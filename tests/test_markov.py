@@ -8,6 +8,7 @@ from age_patrol import (PeriodicityWarning,
                         build_mh, check_irreducible, fundamental_matrix,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
+from age_patrol.markov import _fundamental_residual, _fundamental_system
 from conftest import random_chain, random_connected_graph
 
 
@@ -207,6 +208,23 @@ def test_rows_of_fundamental_matrix_sum_to_one():
         g = random_connected_graph(7, seed=seed)
         analysis = analyze(random_chain(g, seed=seed + 50))
         assert np.allclose(analysis.z.sum(axis=1), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [7, 256, 600], ids=["one-block", "exact-block", "partial-block"])
+def test_blocked_residual_matches_dense_residual(n):
+    g = assign_weights(random_connected_graph(n, seed=n), "random_interval", seed=1)
+    P = build_mh(g).matrix
+    pi = stationary_distribution(P)
+    m = np.eye(n) - P.p + np.tile(pi, (n, 1))
+    assert np.array_equal(_fundamental_system(P.p, pi), m)
+    z = fundamental_matrix(P, pi)
+    dense = np.max(np.abs(m @ z - np.eye(n)))
+    assert abs(_fundamental_residual(P.p, pi, z) - dense) <= 1e-14
+    # a perturbed Z must show in the blocked check as in the dense one
+    z[n - 1, 0] += 1e-6
+    dense = np.max(np.abs(m @ z - np.eye(n)))
+    assert dense > 1e-7
+    assert abs(_fundamental_residual(P.p, pi, z) - dense) <= 1e-14
 
 
 def test_analysis_validate_passes_on_real_chain():

@@ -156,6 +156,52 @@ def test_validate_design_flags_non_edge(k2):
     assert (1, 2) in report["support"]["violations"]
 
 
+def _reference_mh(g):
+    """build_mh as first written: one Python step per edge, then per row."""
+    pi = target_distribution(g.weights)
+    deg = g.out_degree.astype(float)
+    p = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        for j in g.neighbors[i]:
+            p[i, j] = min(1.0, (pi[j] * deg[i]) / (pi[i] * deg[j])) / deg[i]
+        p[i, i] = max(0.0, 1.0 - p[i].sum())
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("g", [
+    assign_weights(generate_random_geometric(200, 2.0 / np.sqrt(200), seed=3),
+                   "random_interval", seed=4),
+    assign_weights(generate_grid_diag(9), "random_interval", seed=5),
+    assign_weights(generate_ring_k(40, 3), "random_interval", seed=6),
+    make_star(5),
+], ids=["geometric", "grid", "ring", "star"])
+def test_mh_matches_per_edge_reference_loop(g):
+    assert build_mh(g).matrix.p.tobytes() == _reference_mh(g).tobytes()
+
+
+def test_support_violations_match_has_edge_reference():
+    g = generate_ring_k(12, 2)
+    rng = np.random.default_rng(3)
+    p = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5)
+    p[:, 0] += 0.1  # no empty row
+    P = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
+    want = [(int(i), int(j)) for i, j in zip(*np.nonzero(P.p > 0))
+            if i != j and not g.has_edge(int(i), int(j))]
+    assert want and P.support_violations(g) == want
+
+
+def test_validate_design_checks_the_support_once(triangle, monkeypatch):
+    calls = []
+    original = TransitionMatrix.support_violations
+    monkeypatch.setattr(TransitionMatrix, "support_violations",
+                        lambda self, g: calls.append(g) or original(self, g))
+    design = build_mh(triangle)
+    calls.clear()
+    validate_design(design.matrix, triangle, design.target_pi)
+    assert len(calls) == 1
+
+
 def test_design_json_round_trip(triangle):
     from age_patrol import DesignResult
     design = build_mh(triangle)
