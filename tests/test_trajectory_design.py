@@ -181,14 +181,18 @@ def test_mh_matches_per_edge_reference_loop(g):
 
 
 def test_support_violations_match_has_edge_reference():
-    g = generate_ring_k(12, 2)
+    def reference(P, g):
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(P.p > 0))
+                if i != j and not g.has_edge(int(i), int(j))]
+
     rng = np.random.default_rng(3)
     p = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5)
     p[:, 0] += 0.1  # no empty row
     P = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
-    want = [(int(i), int(j)) for i, j in zip(*np.nonzero(P.p > 0))
-            if i != j and not g.has_edge(int(i), int(j))]
-    assert want and P.support_violations(g) == want
+    # a graph on as many terminals as P, and one on more
+    for g in (generate_ring_k(12, 2), generate_ring_k(15, 1)):
+        assert reference(P, g)
+        assert P.support_violations(g) == reference(P, g)
 
 
 def test_validate_design_checks_the_support_once(triangle, monkeypatch):
