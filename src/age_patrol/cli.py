@@ -283,6 +283,9 @@ class ExperimentConfig:
             raise click.UsageError("replications must be >= 1")
         if not self.seed_list():
             raise click.UsageError("the seed list is empty")
+        if not (math.isfinite(self.rate_scale) and self.rate_scale > 0):
+            raise click.UsageError(f"rate_scale must be a finite number > 0, "
+                                   f"not {self.rate_scale!r}")
         _check_window(self.horizon, self.burn_in)  # a bad window is a validation error
         if self.policy == "periodic" and not self.sequence:
             raise click.UsageError("periodic policy needs a visit sequence")

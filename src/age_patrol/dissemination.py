@@ -5,6 +5,12 @@ process; packets wait in a per-terminal FCFS queue carried by the agent
 and the head-of-line packet is delivered when the agent visits.  Ages
 now reset to the delivered packet's age instead of to 1.
 
+Both simulators draw an arrival process as its i.i.d. Geometric(lambda)
+gaps (`_bernoulli_arrivals`): about lambda * H draws instead of one
+uniform per slot.  The process is the same in law, but fixed-seed
+dissemination and vacation-queue outputs differ from versions that drew
+one uniform per slot.
+
 Analytics come from a discrete-time single-server queue with server
 vacations: arrivals Bernoulli(lambda), general service S, and the server
 taking i.i.d. vacations V whenever the queue empties.  Its exact peak
@@ -131,6 +137,29 @@ def berg1_vacation_peak_age(p: QueueModelParams) -> float:
     return 1.0 / p.lam + berg1_vacation_system_time(p)
 
 
+def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> list:
+    """Slots in 1..horizon of a Bernoulli(lam) arrival process, ascending.
+
+    The gaps between arrivals are i.i.d. Geometric(lam), so the slots are a
+    running sum of geometric draws.  The first chunk is sized to cover the
+    horizon with overwhelming probability; another is drawn only while the
+    sum is still <= horizon.  Gaps are clipped to horizon + 1 before the sum:
+    for a tiny lam numpy returns INT64_MAX, which would wrap the sum.
+    """
+    if lam == 0:
+        return []
+    mean = lam * horizon
+    k = int(mean + 6.0 * math.sqrt(mean)) + 16
+    chunks = []
+    last = 0
+    while last <= horizon:
+        slots = np.cumsum(np.minimum(rng.geometric(lam, size=k), horizon + 1)) + last
+        chunks.append(slots)
+        last = int(slots[-1])
+    slots = np.concatenate(chunks)
+    return slots[:np.searchsorted(slots, horizon, side="right")].tolist()
+
+
 @dataclass(frozen=True)
 class VacationQueueStats:
     empirical_peak: float
@@ -149,13 +178,15 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     sampled service/vacation durations and the recorder measures the age
     process directly.  A delivery happens in the final slot of a service;
     the server re-checks the queue whenever a service or vacation ends,
-    starting the next activity on the following slot.
+    starting the next activity on the following slot.  Arrivals are drawn
+    first, as geometric gaps (`_bernoulli_arrivals`), then the durations;
+    fixed-seed outputs differ from versions that drew a uniform per slot.
     """
     if not 0 < lam < 1:
         raise ValueError("arrival probability must lie in (0, 1)")
     burn_in = _check_window(horizon, burn_in)
     rng = np.random.default_rng(seed)
-    arrivals = (np.flatnonzero(rng.random(horizon) < lam) + 1).tolist()
+    arrivals = _bernoulli_arrivals(rng, lam, horizon)
     draw = _sampler(rng)
     svc = (service.cumulative(), service.values)
     vac = (vacation.cumulative(), vacation.values)
@@ -225,7 +256,8 @@ class DisseminationPolicy(JsonRecord):
         return self.matrix.n
 
     def validate(self) -> None:
-        if np.any(self.rates <= 0) or np.any(self.rates >= self.target_pi):
+        # written so that a NaN rate fails
+        if not (np.all(self.rates > 0) and np.all(self.rates < self.target_pi)):
             raise StabilityError("rates must satisfy 0 < lambda_i < pi_i")
         if not np.all(np.isfinite(self.upper_bounds)):
             raise NumericalError("upper bounds must be finite")
@@ -286,12 +318,19 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     delivered in slot t if it reaches the head of the queue.  Peaks are
     recorded only at delivery slots.  Returns AgeStats, plus the event
     log [(t, kind, terminal, generated)] when record_events is set.
+
+    Each terminal's arrivals are drawn as geometric gaps
+    (`_bernoulli_arrivals`), in terminal order, before the walk's
+    uniforms; fixed-seed outputs differ from versions that drew a
+    uniform per terminal per slot.
     """
     n = g.n
     if policy.matrix.n != n or len(policy.rates) != n:
         raise ValueError("policy dimension does not match the graph")
-    if np.any(policy.rates < 0) or np.any(policy.rho >= 1):
-        raise StabilityError("need 0 <= lambda_i and rho_i < 1 for every terminal")
+    # written so that a NaN rate or utilization fails
+    if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1)
+            and np.all(policy.rho < 1)):
+        raise StabilityError("need 0 <= lambda_i <= 1 and rho_i < 1 for every terminal")
     burn_in = _check_window(horizon, burn_in)
     if record_events and horizon > EVENT_LOG_HORIZON_LIMIT:
         raise ValueError(f"event logs are limited to horizons <= {EVENT_LOG_HORIZON_LIMIT}")
@@ -299,8 +338,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
         raise ValueError("start terminal out of range")
 
     rng = np.random.default_rng(seed)
-    arrivals = [(np.flatnonzero(rng.random(horizon) < lam) + 1).tolist()
-                for lam in policy.rates]
+    arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]
     samplers = _row_samplers(policy.matrix.p)
     draw = _sampler(rng)
     rec = _Recorder(n, horizon, burn_in)

@@ -283,6 +283,26 @@ def test_disseminate_rejects_design_with_nan(runner, tmp_path):
     assert "finite" in result.output
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_disseminate_bad_rate_scale_is_usage_error(runner, tmp_path, scale, source):
+    # a NaN scale used to exit 0 with no packet ever generated
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "9", "--k", "2", "-o", str(graph_path)])
+    out = tmp_path / "diss.csv"
+    args = ["disseminate", "--graph", str(graph_path), "--horizon", "5000", "-o", str(out)]
+    if source == "flag":
+        args += ["--rate-scale", scale]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rate_scale": float(scale)}))  # NaN and Infinity literals
+        args += ["--config", str(cfg)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "rate_scale" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [{}, {"matrix": [[0.5, 0.5], [0.5, 0.5]]}])
 def test_disseminate_malformed_design_is_validation_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"

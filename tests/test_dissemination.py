@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy, PeriodicityWarning,
                         QueueBacklogWarning, QueueModelParams, StabilityError,
@@ -12,6 +13,7 @@ from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy, Periodic
                         dissemination_report, generate_random_geometric, optimal_utilization,
                         policy_from_design, separation_policy, simulate_berg1_vacation,
                         simulate_dissemination, terminal_age_upper_bound)
+from age_patrol.dissemination import _bernoulli_arrivals
 from conftest import make_complete
 
 
@@ -58,6 +60,134 @@ def test_discrete_law_moments():
     law = DiscreteLaw.uniform([1, 2, 3])
     assert law.mean() == pytest.approx(2.0)
     assert law.second_moment() == pytest.approx(14.0 / 3.0)
+
+
+def test_arrivals_zero_rate_is_empty():
+    assert _bernoulli_arrivals(np.random.default_rng(0), 0.0, 1000) == []
+
+
+def test_arrivals_unit_rate_fills_every_slot():
+    assert _bernoulli_arrivals(np.random.default_rng(0), 1.0, 1000) == list(range(1, 1001))
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-18, 1e-12])
+def test_arrivals_tiny_rate_does_not_wrap(lam):
+    # numpy returns gaps near or at INT64_MAX here; unclipped, their running sum wraps
+    # negative and every slot would look like an arrival
+    for seed in range(5):
+        assert _bernoulli_arrivals(np.random.default_rng(seed), lam, 100_000) == []
+
+
+@pytest.mark.parametrize("lam", [0.002, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("horizon", [1, 17, 5000])
+def test_arrivals_increasing_within_horizon_and_seeded(lam, horizon):
+    for seed in range(20):
+        slots = _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon)
+        assert all(isinstance(t, int) for t in slots)
+        assert all(1 <= t <= horizon for t in slots)
+        assert all(a < b for a, b in zip(slots, slots[1:]))
+        assert slots == _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon)
+
+
+def test_arrivals_extend_a_short_first_chunk():
+    # the first chunk almost always covers the horizon; chunks of 3 draws test the loop
+    class ShortChunks:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+            self.calls = 0
+
+        def geometric(self, p, size):
+            self.calls += 1
+            return self.rng.geometric(p, size=3)
+
+    short = ShortChunks(3)
+    slots = _bernoulli_arrivals(short, 0.5, 200)
+    assert short.calls > 10
+    stream = np.cumsum(np.random.default_rng(3).geometric(0.5, size=3 * short.calls))
+    assert slots == stream[stream <= 200].tolist()
+
+
+# confidence level of every two-sided statistical check below
+CONFIDENCE = 0.999
+
+
+@pytest.mark.parametrize("lam", [0.002, 0.3, 0.9])
+def test_arrival_count_mean_and_variance(lam):
+    """The count over H slots is Binomial(H, lam): check its mean and variance.
+
+    H is chosen so that H lam (1 - lam) is about 200; the variance check uses the
+    exact standard error of a sample variance, sigma^2 sqrt(2/(R-1) + kappa/R),
+    with the binomial excess kurtosis kappa.
+    """
+    reps = 2000
+    horizon = math.ceil(200 / (lam * (1 - lam)))
+    rng = np.random.default_rng(int(lam * 1000))
+    counts = np.array([len(_bernoulli_arrivals(rng, lam, horizon)) for _ in range(reps)])
+    mean, var = horizon * lam, horizon * lam * (1 - lam)
+    kappa = (1 - 6 * lam * (1 - lam)) / var
+    z = scipy_stats.norm.ppf(0.5 + CONFIDENCE / 2)
+    assert abs(counts.mean() - mean) <= z * math.sqrt(var / reps)
+    assert abs(counts.var(ddof=1) - var) <= z * var * math.sqrt(2 / (reps - 1) + kappa / reps)
+
+
+@pytest.mark.parametrize("lam", [0.002, 0.3, 0.9])
+def test_arrival_gaps_are_geometric(lam):
+    """Chi-square test of the gap histogram against the Geometric(lam) pmf.
+
+    Bins run 1, 2, ... while every expected count is at least 5, and one tail
+    bin takes the rest.
+    """
+    horizon = math.ceil(20_000 / lam)
+    slots = _bernoulli_arrivals(np.random.default_rng(int(lam * 1000) + 1), lam, horizon)
+    gaps = np.diff(np.array([0] + slots))
+    total = len(gaps)
+    pmf = []
+    while total * lam * (1 - lam) ** len(pmf) >= 5 and total * (1 - lam) ** (len(pmf) + 1) >= 5:
+        pmf.append(lam * (1 - lam) ** len(pmf))
+    expected = total * np.array(pmf + [1 - sum(pmf)])
+    observed = np.bincount(np.minimum(gaps, len(pmf) + 1) - 1, minlength=len(expected))
+    assert observed.sum() == total
+    _, p_value = scipy_stats.chisquare(observed, expected)
+    assert p_value > 1 - CONFIDENCE
+
+
+BATCHES = 8
+
+
+def batch_interval(samples):
+    """(mean, half width) of the 8-batch batch-means interval at CONFIDENCE.
+
+    With several columns, each column gets its own interval.
+    """
+    x = np.asarray(samples, dtype=float)
+    assert len(x) == BATCHES
+    t = scipy_stats.t.ppf(0.5 + CONFIDENCE / 2, BATCHES - 1)
+    return x.mean(axis=0), t * x.std(axis=0, ddof=1) / math.sqrt(BATCHES)
+
+
+@pytest.mark.parametrize("lam, service, vacation", [
+    (0.25, D2, D2),
+    (0.3, DiscreteLaw.uniform([1, 2, 3]), DiscreteLaw((1, 4), (0.75, 0.25))),
+], ids=["worked-example", "mixed-laws"])
+def test_vacation_batch_interval_contains_exact_peak(lam, service, vacation):
+    exact = berg1_vacation_peak_age(QueueModelParams.from_laws(lam, service, vacation))
+    peaks = [simulate_berg1_vacation(lam, service, vacation, 200_000, seed=100 + b).empirical_peak
+             for b in range(BATCHES)]
+    mean, half = batch_interval(peaks)
+    assert abs(mean - exact) <= half, (mean, half, exact)
+
+
+@pytest.mark.parametrize("instance", ["k2", "geometric8"])
+def test_dissemination_batch_intervals_within_bounds(instance):
+    if instance == "k2":
+        g, policy = make_complete(2), quiet_policy(swap_design())
+    else:
+        g = generate_random_geometric(8, 0.7, seed=2)
+        policy = separation_policy(g)
+    batches = [simulate_dissemination(g, policy, 60_000, seed=200 + b) for b in range(BATCHES)]
+    peaks = np.array([s.per_terminal_peak for s in batches])
+    mean, half = batch_interval(peaks)
+    assert np.all(mean - half <= policy.upper_bounds), (mean, half, policy.upper_bounds)
 
 
 def test_vacation_simulator_matches_formula_worked_example():
@@ -141,6 +271,29 @@ def test_dissemination_zero_rates_ages_grow(k2, swap_matrix):
     assert np.all(stats.n_peaks == 0)
     # ages ramp 1..T: mean is (T+1)/2 per terminal
     assert np.allclose(stats.per_terminal_avg, (horizon + 1) / 2.0)
+
+
+def _policy_with_rates(swap_matrix, rates, rho):
+    return DisseminationPolicy(
+        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.array(rates),
+        rho=np.array(rho), upper_bounds=np.full(2, 7.0), z_diag=np.array([0.75, 0.75]),
+        discrepancy=0.5)
+
+
+# a NaN rate used to pass these checks and generate no packet at all
+@pytest.mark.parametrize("rates, rho", [
+    ([math.nan, 0.2], [0.5, 0.4]),
+    ([0.2, 0.2], [math.nan, 0.4]),
+    ([-0.1, 0.2], [0.5, 0.4]),
+], ids=["nan-rate", "nan-rho", "negative-rate"])
+def test_simulate_dissemination_rejects_nan_or_negative_rates(k2, swap_matrix, rates, rho):
+    with pytest.raises(StabilityError):
+        simulate_dissemination(k2, _policy_with_rates(swap_matrix, rates, rho), 1000, seed=0)
+
+
+def test_policy_validate_rejects_nan_rates(swap_matrix):
+    with pytest.raises(StabilityError):
+        _policy_with_rates(swap_matrix, [math.nan, 0.2], [0.5, 0.4]).validate()
 
 
 def test_dissemination_peaks_within_bound_k2(k2):
