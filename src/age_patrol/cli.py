@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import click
@@ -29,7 +29,7 @@ from .dissemination import (EVENT_CSV_FIELDS, EVENT_LOG_HORIZON_LIMIT, policy_fr
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
-from .markov import analyze
+from .markov import JsonRecord, analyze
 from .simulation import (AGE_FUNCTIONS, TRACE_HORIZON_LIMIT, _check_window,
                          simulate_age_based, simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
@@ -74,8 +74,6 @@ def _cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
         except (NumericalError, SolverError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
@@ -105,31 +103,60 @@ def _parallel_map(fn, jobs, *iterables) -> list:
     return list(map(fn, *iterables))
 
 
-# graph family -> (the spec key giving its size, generator of a spec); the
+@dataclass
+class WeightSpec(JsonRecord):
+    """The terminal weights of an inline graph spec, as `assign_weights` takes them."""
+
+    mode: str = "uniform"
+    lo: float = 1.0
+    hi: float = 2.0
+    seed: int | None = None
+
+
+@dataclass
+class GraphSpec(JsonRecord):
+    """An inline graph: a family, its size (``n``, or ``side`` for a grid) and parameters."""
+
+    family: str
+    n: int | None = None
+    side: int | None = None
+    k: int = 3
+    r: float | None = None  # None means 2/sqrt(n)
+    seed: int = 0
+    weights: WeightSpec | None = None
+
+
+# graph family -> (the spec field giving its size, generator of a spec); the
 # lambdas read the generators from the module globals at call time, so a
 # wrapper installed on those globals sees every generated graph
 _GENERATORS = {
     "geometric": ("n", lambda spec: generate_random_geometric(
-        spec["n"], 2.0 / math.sqrt(spec["n"]) if spec.get("r") is None else spec["r"],
-        spec.get("seed", 0))),
-    "grid": ("side", lambda spec: generate_grid_diag(spec["side"])),
-    "ring": ("n", lambda spec: generate_ring_k(spec["n"], spec.get("k", 3))),
+        spec.n, 2.0 / math.sqrt(spec.n) if spec.r is None else spec.r, spec.seed)),
+    "grid": ("side", lambda spec: generate_grid_diag(spec.side)),
+    "ring": ("n", lambda spec: generate_ring_k(spec.n, spec.k)),
 }
 
 
-def _family_graph(spec: dict) -> MobilityGraph:
-    """Generate the graph an inline spec names; a missing radius r means 2/sqrt(n)."""
-    family = spec.get("family")
-    if family not in _GENERATORS:
-        raise click.UsageError(f"unknown graph family: {family!r}")
-    size_key, generate = _GENERATORS[family]
-    if spec.get(size_key) is None:
-        raise click.UsageError(f"{family} family needs {size_key}")
-    for key in ("n", "side", "k"):
-        value = spec.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise click.UsageError(f"graph size {key} must be an integer, not {value!r}")
-    return generate(spec)
+def _family_graph(spec: GraphSpec) -> MobilityGraph:
+    """Generate the graph a spec names and give it the spec's weights, if any."""
+    if spec.family not in _GENERATORS:
+        raise click.UsageError(f"unknown graph family: {spec.family!r}")
+    size_key, generate = _GENERATORS[spec.family]
+    if getattr(spec, size_key) is None:
+        raise click.UsageError(f"{spec.family} family needs {size_key}")
+    g = generate(spec)
+    w = spec.weights
+    return g if w is None else assign_weights(g, w.mode, lo=w.lo, hi=w.hi, seed=w.seed)
+
+
+def _int_list(ctx, param, value):
+    """Click callback: a comma-separated list of integers; blank items are skipped."""
+    if value is None:
+        return None
+    try:
+        return [int(s) for s in value.split(",") if s.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
 
 
 @main.command("graph")
@@ -150,11 +177,9 @@ def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, ou
     """Generate a mobility graph and write it as JSON."""
     if family == "geometric" and r is None:
         raise click.UsageError("geometric family needs --r (or --r auto)")
-    g = _family_graph({"family": family, "n": n, "side": side, "k": k, "seed": seed,
-                       "r": None if r in (None, "auto") else float(r)})
-    if weights_mode == "random":
-        g = assign_weights(g, "random_interval", lo=lo, hi=hi,
-                           seed=seed if weight_seed is None else weight_seed)
+    weights = WeightSpec("random_interval", lo, hi, seed if weight_seed is None else weight_seed)
+    g = _family_graph(GraphSpec(family, n, side, k, None if r in (None, "auto") else float(r),
+                                seed, weights if weights_mode == "random" else None))
     save_graph(g, output)
     click.echo(f"wrote {family} graph with n={g.n}, {len(g.edges)} directed edges -> {output}")
 
@@ -217,22 +242,22 @@ def _aggregate_rows(rows, policy, horizon, burn_in):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     """One simulation or dissemination experiment, loadable from JSON.
 
-    ``graph`` is either a path to a graph file or an inline spec such as
+    ``graph`` is either a path to a graph file or an inline `GraphSpec` such as
     {"family": "ring", "n": 21, "k": 3, "seed": 0,
      "weights": {"mode": "random_interval", "lo": 1, "hi": 2, "seed": 3}}.
     """
 
-    graph: object = None
+    graph: str | GraphSpec | None = None
     policy: str = "mh"
-    sequence: list | None = None
+    sequence: list | None = field(default=None, metadata={"dtype": int})
     g_fn: str = "quadratic_plus_linear"
     horizon: int = 50_000
     burn_in: int | None = None
     replications: int = 1
-    seeds: list | None = None
+    seeds: list | None = field(default=None, metadata={"dtype": int})
     start: int = 0
     rate_scale: float = 1.0
     jobs: int | None = None
@@ -240,41 +265,20 @@ class ExperimentConfig:
     report: str | None = None
 
     @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        """Load a config file; a key, type or choice the CLI would not accept is a usage error."""
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise click.UsageError("a config file must hold a JSON object")
-        unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(ExperimentConfig):
-            if f.name not in payload or payload[f.name] is None and f.type.endswith("| None"):
-                continue
-            value = payload[f.name]
-            kind = {"int": int, "int | None": int, "float": (int, float)}.get(f.type)
-            # a JSON true is no number, though bool is an int to isinstance
-            if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-                raise click.UsageError(f"config key {f.name} must be a JSON number of type "
-                                       f"{f.type.split(' |')[0]}, not {value!r}")
-        seeds = payload.get("seeds")
-        if seeds is not None and not (isinstance(seeds, list) and all(
-                isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-            raise click.UsageError(f"config key seeds must be a JSON array of integers, "
-                                   f"not {seeds!r}")
-        for key, choices in (("policy", POLICIES), ("g_fn", AGE_FUNCTIONS)):
-            if key in payload and payload[key] not in choices:
-                raise click.UsageError(f"config key {key} must be one of {choices}, "
-                                       f"not {payload[key]!r}")
-        return ExperimentConfig(**payload)
-
-    def override(self, ctx, flag_map: dict) -> None:
-        """Apply CLI flags the user set explicitly on top of config values."""
-        for param, (field_name, value) in flag_map.items():
-            source = ctx.get_parameter_source(param)
-            explicit = source is not None and source.name not in ("DEFAULT", "DEFAULT_MAP")
-            if explicit or getattr(self, field_name) is None and value is not None:
-                setattr(self, field_name, value)
+    def load(path) -> "ExperimentConfig":
+        """Read a config file; a key, type or choice the CLI would not accept is a usage error."""
+        try:
+            payload = json.loads(Path(path).read_text())
+            cfg = ExperimentConfig.from_json(payload)
+            unknown = set(payload) - {f.name for f in fields(cfg)}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
+            for key, choices in (("policy", POLICIES), ("g_fn", AGE_FUNCTIONS)):
+                if getattr(cfg, key) not in choices:
+                    raise ValueError(f"{key} must be one of {choices}, not {getattr(cfg, key)!r}")
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise click.UsageError(f"config file {path}: {exc}") from None
+        return cfg
 
     def validate(self) -> None:
         if self.graph is None:
@@ -293,27 +297,40 @@ class ExperimentConfig:
             raise click.UsageError("an output path is required (-o or config)")
 
     def seed_list(self) -> list:
-        if self.seeds is None:
-            return list(range(self.replications))
-        if isinstance(self.seeds, str):
-            return [int(s) for s in self.seeds.split(",") if s.strip() != ""]
-        return [int(s) for s in self.seeds]
-
-    def sequence_list(self) -> list:
-        if isinstance(self.sequence, str):
-            return [int(s) for s in self.sequence.split(",")]
-        return [int(s) for s in self.sequence]
+        return list(range(self.replications)) if self.seeds is None else self.seeds
 
     def resolve_graph(self) -> MobilityGraph:
-        if isinstance(self.graph, str):
-            return load_graph(self.graph)
-        g = _family_graph(self.graph)
-        weights = self.graph.get("weights")
-        if weights:
-            mode = weights.get("mode", "uniform")
-            g = assign_weights(g, mode, lo=weights.get("lo", 1.0), hi=weights.get("hi", 2.0),
-                               seed=weights.get("seed"))
-        return g
+        return load_graph(self.graph) if isinstance(self.graph, str) else _family_graph(self.graph)
+
+
+# the options `simulate` and `disseminate` share; every option but --config is
+# named after the ExperimentConfig field it sets and has no default of its own,
+# so an option the user leaves out keeps the config file's value or the default
+_EXPERIMENT_OPTIONS = [
+    click.option("--graph", type=click.Path(dir_okay=False)),
+    click.option("--horizon", type=int),
+    click.option("--burn-in", type=int),
+    click.option("--replications", type=int),
+    click.option("--seeds", callback=_int_list, help="comma-separated seed list"),
+    click.option("--start", type=int),
+    click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                 help="JSON ExperimentConfig; explicit flags win"),
+    click.option("-o", "--output", type=click.Path(dir_okay=False)),
+]
+
+
+def _experiment_options(fn):
+    return functools.reduce(lambda f, option: option(f), reversed(_EXPERIMENT_OPTIONS), fn)
+
+
+def _experiment(flags: dict) -> ExperimentConfig:
+    """The config file (or the defaults) with every flag the user gave on top, validated."""
+    cfg = ExperimentConfig.load(flags["config"]) if flags["config"] else ExperimentConfig()
+    for f in fields(cfg):
+        if flags.get(f.name) is not None:
+            setattr(cfg, f.name, flags[f.name])
+    cfg.validate()
+    return cfg
 
 
 def _gathering_run(g, policy, sequence, g_fn, horizon, burn_in, start, matrix, seed, record):
@@ -356,42 +373,22 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 
 
 @main.command("simulate")
-@click.option("--graph", "graph_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--policy", type=click.Choice(POLICIES), default="mh")
-@click.option("--sequence", default=None, help="comma-separated periodic visit sequence")
-@click.option("--g-fn", type=click.Choice(AGE_FUNCTIONS), default="quadratic_plus_linear")
-@click.option("--horizon", type=int, default=50_000)
-@click.option("--burn-in", type=int, default=None)
-@click.option("--replications", type=int, default=1)
-@click.option("--seeds", default=None, help="comma-separated seed list")
-@click.option("--start", type=int, default=0)
-@click.option("--jobs", type=int, default=None)
-@click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
+@_experiment_options
+@click.option("--policy", type=click.Choice(POLICIES))
+@click.option("--sequence", callback=_int_list, help="comma-separated periodic visit sequence")
+@click.option("--g-fn", type=click.Choice(AGE_FUNCTIONS))
+@click.option("--jobs", type=int)
+@click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
               help=f"dump the full age trace (horizon <= {TRACE_HORIZON_LIMIT})")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON ExperimentConfig; explicit flags win")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_cli_errors
-def cmd_simulate(ctx, graph_path, policy, sequence, g_fn, horizon, burn_in, replications,
-                 seeds, start, jobs, trace_path, config_path, output):
+def cmd_simulate(trace_path, **flags):
     """Run gathering simulations and write per-replication plus aggregate CSV rows."""
-    cfg = ExperimentConfig.from_json(config_path) if config_path else ExperimentConfig()
-    cfg.override(ctx, {
-        "graph_path": ("graph", graph_path), "policy": ("policy", policy),
-        "sequence": ("sequence", sequence), "g_fn": ("g_fn", g_fn),
-        "horizon": ("horizon", horizon), "burn_in": ("burn_in", burn_in),
-        "replications": ("replications", replications), "seeds": ("seeds", seeds),
-        "start": ("start", start), "jobs": ("jobs", jobs), "output": ("output", output),
-    })
-    cfg.validate()
-    policy = cfg.policy
+    cfg = _experiment(flags)
     g = cfg.resolve_graph()
     matrix = None
-    if policy in ("mh", "fastest"):
-        matrix = (build_mh(g) if policy == "mh" else build_fastest_mixing(g)).matrix
-    sequence = cfg.sequence_list() if cfg.sequence else None
-    run = functools.partial(_gathering_run, g, policy, sequence, cfg.g_fn, cfg.horizon,
+    if cfg.policy in ("mh", "fastest"):
+        matrix = (build_mh(g) if cfg.policy == "mh" else build_fastest_mixing(g)).matrix
+    run = functools.partial(_gathering_run, g, cfg.policy, cfg.sequence, cfg.g_fn, cfg.horizon,
                             cfg.burn_in, cfg.start, matrix)
     _, trace = _replicate(run, cfg, record=bool(trace_path))
     if trace_path:
@@ -404,37 +401,18 @@ def cmd_simulate(ctx, graph_path, policy, sequence, g_fn, horizon, burn_in, repl
 
 
 @main.command("disseminate")
-@click.option("--graph", "graph_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--horizon", type=int, default=50_000)
-@click.option("--burn-in", type=int, default=None)
-@click.option("--replications", type=int, default=1)
-@click.option("--seeds", default=None)
-@click.option("--start", type=int, default=0)
-@click.option("--rate-scale", type=float, default=1.0,
+@_experiment_options
+@click.option("--rate-scale", type=float,
               help="scale the separation rates by this factor (must stay below 1/rho)")
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="reuse a trajectory design JSON written by `design`")
-@click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--events", "events_path", type=click.Path(dir_okay=False), default=None,
+              help="reuse a trajectory design JSON written by `design`")
+@click.option("--report", type=click.Path(dir_okay=False))
+@click.option("--events", "events_path", type=click.Path(dir_okay=False),
               help=f"event log CSV (horizon <= {EVENT_LOG_HORIZON_LIMIT})")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON ExperimentConfig; explicit flags win")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.pass_context
 @_cli_errors
-def cmd_disseminate(ctx, graph_path, horizon, burn_in, replications, seeds, start, rate_scale,
-                    design_path, report_path, events_path, config_path, output):
+def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""
-    cfg = ExperimentConfig.from_json(config_path) if config_path else ExperimentConfig()
-    cfg.policy = "separation"
-    cfg.override(ctx, {
-        "graph_path": ("graph", graph_path), "horizon": ("horizon", horizon),
-        "burn_in": ("burn_in", burn_in), "replications": ("replications", replications),
-        "seeds": ("seeds", seeds), "start": ("start", start),
-        "rate_scale": ("rate_scale", rate_scale), "output": ("output", output),
-        "report_path": ("report", report_path),
-    })
-    cfg.validate()
+    cfg = _experiment(dict(flags, policy="separation"))
     g = cfg.resolve_graph()
     if design_path:
         design = DesignResult.from_json(json.loads(Path(design_path).read_text()))
@@ -460,9 +438,9 @@ def cmd_disseminate(ctx, graph_path, horizon, burn_in, replications, seeds, star
 
 
 def _sweep_graph(family, n, base_seed):
-    g = _family_graph({"family": family, "n": n, "side": int(round(math.sqrt(n))),
-                       "k": RING_RADIUS, "seed": base_seed + n})
-    return assign_weights(g, "random_interval", lo=1.0, hi=2.0, seed=base_seed + 10_000 + n)
+    return _family_graph(GraphSpec(
+        family, n, int(round(math.sqrt(n))), RING_RADIUS, seed=base_seed + n,
+        weights=WeightSpec("random_interval", 1.0, 2.0, base_seed + 10_000 + n)))
 
 
 def _sweep_point_safe(args) -> dict:
@@ -508,7 +486,7 @@ def _figure_rows(figure, points) -> list:
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @click.option("--horizon", type=int, default=50_000)
 @click.option("--base-seed", type=int, default=SWEEP_BASE_SEED)
-@click.option("--sizes", default=None, help="comma-separated size override for the sweep")
+@click.option("--sizes", callback=_int_list, help="comma-separated size override for the sweep")
 @click.option("--solver-iterations", type=int, default=SWEEP_SOLVER_ITERATIONS)
 @click.option("--jobs", type=int, default=None)
 @_cli_errors
@@ -519,12 +497,11 @@ def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    override = [int(s) for s in sizes.split(",")] if sizes else None
     families = {}
     for fig in figures:
         family, _, columns = FIGURES[fig]
         entry = families.setdefault(family, {"sizes": set(), "diss": False})
-        entry["sizes"].update(override or SWEEP_SIZES[family])
+        entry["sizes"].update(sizes or SWEEP_SIZES[family])
         entry["diss"] = entry["diss"] or any(key == "dissemination_avg" for _, key in columns)
 
     tasks = []

@@ -61,7 +61,8 @@ class DiscreteLaw:
             raise ValueError("values and probs must be nonempty and equal length")
         if any(v < 1 for v in values):
             raise ValueError("slot counts must be >= 1")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        # written so that a NaN or infinite probability fails it
+        if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
@@ -102,14 +103,15 @@ class QueueModelParams:
     vacation_second_moment: float
 
     def __post_init__(self):
+        # written so that NaN and infinite moments fail them
         if not 0 < self.lam < 1:
             raise ValueError("arrival probability must lie in (0, 1)")
-        if self.service_mean < 1 or self.vacation_mean < 1:
-            raise ValueError("service and vacation means must be >= 1 slot")
-        if self.service_second_moment < self.service_mean ** 2 - 1e-12:
-            raise ValueError("service second moment below squared mean")
-        if self.vacation_second_moment < self.vacation_mean ** 2 - 1e-12:
-            raise ValueError("vacation second moment below squared mean")
+        if not (1 <= self.service_mean < math.inf and 1 <= self.vacation_mean < math.inf):
+            raise ValueError("service and vacation means must be finite and >= 1 slot")
+        if not self.service_mean ** 2 - 1e-12 <= self.service_second_moment < math.inf:
+            raise ValueError("service second moment must be finite and >= squared mean")
+        if not self.vacation_mean ** 2 - 1e-12 <= self.vacation_second_moment < math.inf:
+            raise ValueError("vacation second moment must be finite and >= squared mean")
         if self.rho >= 1:
             raise StabilityError(f"utilization rho = {self.rho:.4f} >= 1; queue unstable")
 

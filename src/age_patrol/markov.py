@@ -79,12 +79,14 @@ class TransitionMatrix:
 class JsonRecord:
     """Mixin giving a dataclass a JSON form: its fields by name.
 
-    Arrays and transition matrices are written as (nested) lists and every
-    other value as it is.  `from_json` converts each value by its field
-    annotation (an array field takes the dtype in its ``metadata``, float by
-    default), leaves an absent field with a default at that default and
-    ignores unknown keys, so a record can travel inside a larger payload.
-    A missing required key or an ill-typed value raises ValueError.
+    Arrays and transition matrices are written as (nested) lists, nested
+    records as objects and every other value as it is.  `from_json`
+    converts each value by its field annotation (an array or list field
+    takes the dtype in its ``metadata``, float by default, and every entry
+    must be a JSON number, a whole one for an int dtype), leaves an absent
+    field with a default at that default and ignores unknown keys, so a
+    record can travel inside a larger payload.  A missing required key or
+    an ill-typed value raises ValueError.
     """
 
     def to_json(self) -> dict:
@@ -105,32 +107,52 @@ class JsonRecord:
 
 
 def _encode(value):
+    if isinstance(value, JsonRecord):
+        return value.to_json()
     if isinstance(value, TransitionMatrix):
         value = value.p
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-# field type -> the JSON value types it accepts
-_JSON_TYPES = {np.ndarray: list, TransitionMatrix: list, dict: dict, bool: bool, int: int,
-               float: (int, float)}
+# field type -> the JSON value types it accepts; a nested record takes an object
+_JSON_TYPES = {np.ndarray: list, TransitionMatrix: list, list: list, dict: dict, str: str,
+               bool: bool, int: int, float: (int, float)}
+_JSON_NAMES = {list: "a JSON array", dict: "a JSON object", str: "a JSON string",
+               bool: "a JSON boolean", int: "an integer", (int, float): "a JSON number"}
+
+
+def _numbers(value: list, kinds) -> bool:
+    """True iff every leaf of the nested list is of `kinds`; a JSON true is no number."""
+    return all(_numbers(x, kinds) if isinstance(x, list)
+               else isinstance(x, kinds) and not isinstance(x, bool) for x in value)
 
 
 def _decode(cls, f, hint, value):
-    args = get_args(hint)  # only optional fields, spelled `X | None`, have args
+    args = get_args(hint)  # only optional fields (`X | None`, `X | Y | None`) have args
     if args and value is None:
         return None
-    kind = args[0] if args else hint
+    kinds = {k: dict if issubclass(k, JsonRecord) else _JSON_TYPES[k]
+             for k in args or [hint] if k is not type(None)}
     # bool is an int to isinstance, but a JSON true is no number
-    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind is bool):
-        raise ValueError(f"{cls.__name__}.{f.name} must be a JSON "
-                         f"{'array' if _JSON_TYPES[kind] is list else kind.__name__}, "
+    kind = next((k for k, t in kinds.items()
+                 if isinstance(value, t) and isinstance(value, bool) == (k is bool)), None)
+    if kind is None:
+        raise ValueError(f"{cls.__name__}.{f.name} must be "
+                         f"{' or '.join(_JSON_NAMES[t] for t in kinds.values())}, "
                          f"not {type(value).__name__}")
+    if issubclass(kind, JsonRecord):
+        return kind.from_json(value)
     try:
-        if _JSON_TYPES[kind] is not list:
+        if kinds[kind] is not list:
             return kind(value)
-        array = np.array(value, dtype=f.metadata.get("dtype", float))
+        dtype = f.metadata.get("dtype", float)
+        if not _numbers(value, int if dtype is int else (int, float)):
+            raise ValueError(f"entries must be {'integers' if dtype is int else 'JSON numbers'}")
+        array = np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{cls.__name__}.{f.name}: {exc}") from None
+    if kind is list:
+        return array.tolist()
     return TransitionMatrix(array) if kind is TransitionMatrix else array
 
 
@@ -292,9 +314,7 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
             raise ValueError("supplied pi is not a positive distribution on the chain's states")
         if not check_irreducible(P):
             raise ReducibleChainError("chain is reducible")
-        if np.max(np.abs(pi @ P.p - pi)) > TOL.design_pi_residual:
-            raise ValueError("supplied pi is not stationary for P within tolerance")
-    z = fundamental_matrix(P, pi)
+    z = fundamental_matrix(P, pi)  # checks that pi is stationary for P
     return ChainAnalysis(
         matrix=P,
         pi=pi,

@@ -436,15 +436,78 @@ def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_p
     {"seeds": ["a"]},
     {"seeds": [1.5]},
     {"seeds": [True]},
+    {"graph": 5},
+    {"output": 7},
+    {"report": 3},
+    {"sequence": [0.9]},
+    {"sequence": "abc"},
+    {"graph": {"family": "geometric", "n": 30, "r": "x"}},
+    {"graph": {"family": "ring", "n": 9, "weights": 5}},
+    {"graph": {"family": "ring", "n": 9, "weights": {"mode": "random_interval", "lo": "a"}}},
+    {"graph": {"family": "ring", "n": 9, "weights": {"mode": "random_interval", "hi": "b"}}},
+    '{"graph": "g.json",',
 ], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy", "string-seed",
-        "float-seed", "bool-seed"])
+        "float-seed", "bool-seed", "number-graph", "number-output", "number-report",
+        "fraction-sequence", "string-sequence", "inline-string-radius", "inline-number-weights",
+        "inline-string-lo", "inline-string-hi", "invalid-json"])
 def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
     cfg = tmp_path / "cfg.json"
     if isinstance(payload, dict):
         payload = {"graph": str(graph_path), "output": str(tmp_path / "o.csv"), **payload}
-    cfg.write_text(json.dumps(payload))
+    cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     result = runner.invoke(main, ["simulate", "--config", str(cfg)])
     assert result.exit_code == 2, result.output
     assert "config" in result.output
+
+
+@pytest.mark.parametrize("flag, value", [("--seeds", "a,b"), ("--sequence", "0,1,x"),
+                                         ("--seeds", "1.5"), ("--sizes", "9,a")])
+def test_bad_integer_list_flag_is_usage_error(runner, tmp_path, flag, value):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    out = tmp_path / "o.csv"
+    if flag == "--sizes":
+        args = ["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path / "sweep")]
+    else:
+        args = ["simulate", "--graph", str(graph_path), "--policy", "periodic",
+                "--sequence", "0,1,2,3,4", "--horizon", "100", "-o", str(out)]
+    result = runner.invoke(main, args + [flag, value])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output and "comma-separated list of integers" in result.output
+    assert not out.exists() and not (tmp_path / "sweep").exists()
+
+
+def test_config_values_lose_only_to_flags_given(runner, tmp_path):
+    # every shared flag the user gives beats the config; the rest keep its values
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"family": "ring", "n": 7, "k": 1}, "horizon": 700,
+                               "burn_in": 70, "seeds": [8, 9], "start": 2, "policy": "periodic",
+                               "sequence": [0, 1, 2, 3, 4, 5, 6],
+                               "output": str(tmp_path / "cfg.csv")}))
+    out = tmp_path / "flags.csv"
+    invoke(runner, ["simulate", "--config", str(cfg), "--graph", str(graph_path),
+                    "--horizon", "500", "--seeds", "3", "--sequence", "0,1,2,3,4",
+                    "-o", str(out)])
+    rows = read_csv(out)
+    assert [(r["seed"], r["horizon"], r["burn_in"]) for r in rows] == [
+        ("3", "500", "70"), ("", "500", "70")]
+    assert not (tmp_path / "cfg.csv").exists()
+    result = invoke(runner, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert [r["seed"] for r in read_csv(tmp_path / "cfg.csv")] == ["8", "9", ""]
+
+
+def test_experiment_config_json_round_trip(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "graph": {"family": "ring", "n": 6, "weights": {"mode": "random_interval", "seed": 2}},
+        "seeds": [1, 2], "sequence": [0, 1], "rate_scale": 0.5}))
+    cfg = cli.ExperimentConfig.load(path)
+    assert cfg.graph == cli.GraphSpec("ring", n=6, weights=cli.WeightSpec("random_interval",
+                                                                          seed=2))
+    assert (cfg.seeds, cfg.sequence, cfg.rate_scale) == ([1, 2], [0, 1], 0.5)
+    assert cli.ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg

@@ -56,6 +56,26 @@ def test_queue_params_reject_bad_moments():
         QueueModelParams(0.2, 2.0, 1.0, 2.0, 4.0)  # E[S^2] < E[S]^2
 
 
+@pytest.mark.parametrize("moments", [
+    (math.nan, 4.0, 2.0, 4.0), (2.0, math.nan, 2.0, 4.0), (2.0, 4.0, math.nan, 4.0),
+    (2.0, 4.0, 2.0, math.nan), (2.0, math.inf, 2.0, 4.0), (2.0, 4.0, math.inf, math.inf),
+    (2.0, 4.0, 2.0, math.inf),
+])
+def test_queue_params_reject_nan_or_infinite_moments(moments):
+    # each of these used to build, and the peak formula then returned nan or inf
+    with pytest.raises(ValueError, match="finite"):
+        QueueModelParams(0.2, *moments)
+
+
+@pytest.mark.parametrize("probs", [(math.nan, math.nan), (0.5, math.nan), (math.inf, 0.0),
+                                   (math.inf, -math.inf)])
+def test_discrete_law_rejects_nan_or_infinite_probs(probs):
+    # DiscreteLaw((1, 2), (nan, nan)) used to be accepted with mean nan, and the
+    # vacation simulator then ran on it
+    with pytest.raises(ValueError, match="probs"):
+        DiscreteLaw((1, 2), probs)
+
+
 def test_discrete_law_moments():
     law = DiscreteLaw.uniform([1, 2, 3])
     assert law.mean() == pytest.approx(2.0)

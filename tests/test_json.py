@@ -111,7 +111,25 @@ def test_design_payload_without_optional_keys_loads():
     ({"matrix": [["a"]], "target_pi": [1.0]}, "DesignResult.matrix"),
     ({"matrix": [[1.0]], "target_pi": [1.0], "objective": 10**400}, "objective"),
     ([1.0], "must be an object"),
+    # numpy would read each of these as a number
+    ({"matrix": [["0.5"]], "target_pi": [1.0]}, "matrix: entries must be JSON numbers"),
+    ({"matrix": [[1.0]], "target_pi": [True]}, "target_pi: entries must be JSON numbers"),
+    ({"matrix": [[0.5, 0.5], [0.5, 0.5]], "target_pi": [True, 0.5]}, "target_pi: entries"),
+    ({"matrix": [[0.5, 0.5], [0.5, 0.5]], "target_pi": [True, "0.5"]}, "target_pi: entries"),
+    ({"matrix": [[1.0]], "target_pi": [None]}, "target_pi: entries must be JSON numbers"),
 ])
 def test_design_payload_errors_are_value_errors(payload, message):
     with pytest.raises(ValueError, match=message):
         DesignResult.from_json(payload)
+
+
+@pytest.mark.parametrize("n_peaks, message", [
+    ([1.5], "n_peaks: entries must be integers"),   # numpy would truncate it to 1
+    ([True], "n_peaks: entries must be integers"),
+    ([2.0], "n_peaks: entries must be integers"),
+])
+def test_int_array_rejects_what_is_not_an_integer(n_peaks, message):
+    payload = AgeStats(np.ones(1), np.ones(1), np.ones(1, dtype=int), 1.0, 1.0, 10, 0).to_json()
+    assert AgeStats.from_json(payload).n_peaks.tolist() == [1]
+    with pytest.raises(ValueError, match=message):
+        AgeStats.from_json(dict(payload, n_peaks=n_peaks))
