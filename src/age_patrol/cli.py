@@ -159,12 +159,21 @@ def _int_list(ctx, param, value):
         raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
 
 
+def _radius(ctx, param, value):
+    """Click callback: a geometric radius as a float, or 'auto' (or None) as given."""
+    try:
+        return value if value in (None, "auto") else float(value)
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is neither a number nor 'auto'") from None
+
+
 @main.command("graph")
 @click.option("--family", type=click.Choice(sorted(_GENERATORS)), required=True)
 @click.option("--n", type=int, default=None, help="terminal count (geometric, ring)")
 @click.option("--side", type=int, default=None, help="grid side length")
 @click.option("--k", type=int, default=3, help="ring neighbour radius")
-@click.option("--r", default=None, help="geometric radius, or 'auto' for 2/sqrt(n)")
+@click.option("--r", default=None, callback=_radius,
+              help="geometric radius, or 'auto' for 2/sqrt(n)")
 @click.option("--seed", type=int, default=0)
 @click.option("--weights", "weights_mode", type=click.Choice(["uniform", "random"]),
               default="uniform")
@@ -178,7 +187,7 @@ def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, ou
     if family == "geometric" and r is None:
         raise click.UsageError("geometric family needs --r (or --r auto)")
     weights = WeightSpec("random_interval", lo, hi, seed if weight_seed is None else weight_seed)
-    g = _family_graph(GraphSpec(family, n, side, k, None if r in (None, "auto") else float(r),
+    g = _family_graph(GraphSpec(family, n, side, k, None if r == "auto" else r,
                                 seed, weights if weights_mode == "random" else None))
     save_graph(g, output)
     click.echo(f"wrote {family} graph with n={g.n}, {len(g.edges)} directed edges -> {output}")

@@ -55,6 +55,8 @@ class DiscreteLaw:
     probs: tuple
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and v == int(v) for v in self.values):
+            raise ValueError("slot counts must be finite integers")
         values = tuple(int(v) for v in self.values)
         probs = tuple(float(p) for p in self.probs)
         if len(values) != len(probs) or not values:

@@ -149,7 +149,7 @@ def generate_random_geometric(n: int, r: float, seed: int) -> MobilityGraph:
     """
     if n < 2:
         raise GraphValidationError("graph needs at least 2 terminals")
-    if r < 0 or r > math.sqrt(2) + 1e-12:
+    if not 0 <= r <= math.sqrt(2) + 1e-12:  # written so that a NaN radius fails it
         raise GraphValidationError("radius must lie in [0, sqrt(2)]")
     for attempt in range(MAX_GEOMETRIC_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)

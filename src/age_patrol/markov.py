@@ -149,6 +149,8 @@ def _decode(cls, f, hint, value):
         if not _numbers(value, int if dtype is int else (int, float)):
             raise ValueError(f"entries must be {'integers' if dtype is int else 'JSON numbers'}")
         array = np.array(value, dtype=dtype)
+        if kind is not TransitionMatrix and array.ndim != 1:
+            raise ValueError("must be a flat array")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{cls.__name__}.{f.name}: {exc}") from None
     if kind is list:

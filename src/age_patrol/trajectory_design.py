@@ -12,12 +12,13 @@ sqrt(weight) (which minimizes network peak age):
   with one step rule, a level-tracking Polyak step: the subgradient of
   the spectral norm is the outer product of the top singular pair, and
   feasibility is restored after every step by Dykstra alternating
-  projections between the affine constraint set and the nonnegative cone.  The top pair comes from a block of right Ritz
-  vectors carried from one iteration to the next and refined by a few
-  subspace-iteration steps; when its residual stays above tolerance the
-  exact full SVD answers instead.  Warm-started at the Metropolis chain,
-  and the returned objective is an exact SVD value that never exceeds
-  the warm start's.
+  projections between the affine constraint set and the nonnegative cone.
+  The top pair comes from a block of right Ritz vectors carried from one
+  iteration to the next.  When one Rayleigh-Ritz step leaves its residual
+  above tolerance, a degree-6 Chebyshev filter in D^T D (D = P - Pi*)
+  refines the block, at most twice, before the exact full SVD answers.
+  Warm-started at the Metropolis chain, and the returned objective is an
+  exact SVD value that never exceeds the warm start's.
 """
 
 from __future__ import annotations
@@ -177,23 +178,28 @@ class _FeasibleSet:
 
 # Top singular pair by warm-started block subspace iteration with
 # Rayleigh-Ritz (Saad, Numerical Methods for Large Eigenvalue Problems,
-# ch. 5).  The block is wider than one vector because minimising the
-# spectral norm drives the top singular value toward multiplicity, where a
-# single vector stalls.
+# ch. 5), refined by a Chebyshev filter in D^T D when the plain step falls
+# short (Zhou, Saad, Tiago and Chelikowsky, J. Comput. Phys. 219, 2006).
+# The block is wider than one vector because minimising the spectral norm
+# drives the top singular value toward multiplicity, where a single vector
+# stalls.
 _RITZ_BLOCK = 8
-_RITZ_STEPS = 4
 _RITZ_RTOL = 1e-6
+_FILTER_DEGREE = 6
+_FILTER_TRIES = 2
 
 
 class _TopSingularPair:
     """Top singular triple (u1, v1, s1) of a slowly changing matrix.
 
     Each call starts from the right Ritz vectors kept from the previous
-    call and runs up to ``_RITZ_STEPS`` Rayleigh-Ritz steps: ``W = D V``,
-    a thin SVD of ``W`` gives the Ritz pair, which is accepted once
-    ``||D^T u1 - s1 v1|| <= _RITZ_RTOL * s1``; otherwise
-    ``V <- qr(D^T W)``.  When no step is accepted, and on the first call,
-    the exact full SVD answers and seeds the block.
+    call.  A Rayleigh-Ritz step ``W = D V`` takes the Ritz pair from a thin
+    SVD of ``W`` and accepts it once ``||D^T u1 - s1 v1|| <= _RITZ_RTOL * s1``.
+    A rejected step's Ritz vectors pass through a Chebyshev polynomial in
+    ``G = D^T D`` that damps ``[0, theta_k^2]`` (``theta_k`` the smallest
+    Ritz value) and take another step, up to ``_FILTER_TRIES`` times.  When
+    no step is accepted, and on the first call, the exact full SVD answers
+    and seeds the block.
     """
 
     def __init__(self):
@@ -203,9 +209,17 @@ class _TopSingularPair:
     def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         v = self.block
         if v is not None:
-            for step in range(_RITZ_STEPS):
-                if step:  # no QR after the last step: the full SVD answers there
-                    v, _ = np.linalg.qr(d.T @ w)
+            for tries in range(_FILTER_TRIES + 1):
+                if tries:
+                    # theta_k at rounding level: the block spans the whole space (n <= 8)
+                    # or D's null vector, and the filter would divide by noise
+                    if not sw[-1] > s1 * len(d) * np.finfo(float).eps:
+                        break
+                    c = float(sw[-1]) ** 2 / 2.0  # centre and half-width of [0, theta_k^2]
+                    prev, v = ritz, (d.T @ (d @ ritz) - c * ritz) / c
+                    for _ in range(_FILTER_DEGREE - 1):
+                        prev, v = v, (2.0 / c) * (d.T @ (d @ v) - c * v) - prev
+                    v, _ = np.linalg.qr(v)
                 w = d @ v
                 uw, sw, zt = np.linalg.svd(w, full_matrices=False)
                 u1, s1 = uw[:, 0], float(sw[0])

@@ -446,10 +446,11 @@ def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_p
     {"graph": {"family": "ring", "n": 9, "weights": {"mode": "random_interval", "lo": "a"}}},
     {"graph": {"family": "ring", "n": 9, "weights": {"mode": "random_interval", "hi": "b"}}},
     '{"graph": "g.json",',
+    {"seeds": [[1], [2]]},
 ], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy", "string-seed",
         "float-seed", "bool-seed", "number-graph", "number-output", "number-report",
         "fraction-sequence", "string-sequence", "inline-string-radius", "inline-number-weights",
-        "inline-string-lo", "inline-string-hi", "invalid-json"])
+        "inline-string-lo", "inline-string-hi", "invalid-json", "nested-seeds"])
 def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
@@ -477,6 +478,16 @@ def test_bad_integer_list_flag_is_usage_error(runner, tmp_path, flag, value):
     assert result.exit_code == 2, result.output
     assert flag in result.output and "comma-separated list of integers" in result.output
     assert not out.exists() and not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1,5", ""])
+def test_bad_radius_flag_is_usage_error(runner, tmp_path, value):
+    out = tmp_path / "g.json"
+    result = runner.invoke(main, ["graph", "--family", "geometric", "--n", "9", "--r", value,
+                                  "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--r" in result.output and "neither a number nor 'auto'" in result.output
+    assert not out.exists()
 
 
 def test_config_values_lose_only_to_flags_given(runner, tmp_path):

@@ -76,6 +76,18 @@ def test_discrete_law_rejects_nan_or_infinite_probs(probs):
         DiscreteLaw((1, 2), probs)
 
 
+@pytest.mark.parametrize("values", [(1.5, 2), (math.inf, 2), (math.nan, 2), (2, 1 + 1e-9)])
+def test_discrete_law_rejects_fractional_or_infinite_slot_counts(values):
+    # (1.5, 2) used to be truncated to (1, 2), and an infinite count raised OverflowError
+    with pytest.raises(ValueError, match="slot counts must be finite integers"):
+        DiscreteLaw(values, (0.5, 0.5))
+
+
+def test_discrete_law_keeps_integral_slot_counts():
+    law = DiscreteLaw((1.0, np.int64(3)), (0.5, 0.5))
+    assert law.values == (1, 3) and all(type(v) is int for v in law.values)
+
+
 def test_discrete_law_moments():
     law = DiscreteLaw.uniform([1, 2, 3])
     assert law.mean() == pytest.approx(2.0)

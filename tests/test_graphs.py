@@ -49,6 +49,13 @@ def test_geometric_zero_radius_reports_disconnection():
         generate_random_geometric(3, 0.0, seed=1)
 
 
+@pytest.mark.parametrize("r", [math.nan, -0.1, 1.5, math.inf])
+def test_geometric_rejects_radius_outside_unit_square_diagonal(r):
+    # a NaN radius used to pass the range check and fail 100 sampling attempts
+    with pytest.raises(GraphValidationError, match="radius must lie"):
+        generate_random_geometric(9, r, seed=0)
+
+
 def test_geometric_resamples_until_connected():
     # tight radius on a moderate n: this seed needs several resamples
     g = generate_random_geometric(30, 0.3, seed=13)

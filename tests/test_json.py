@@ -117,6 +117,7 @@ def test_design_payload_without_optional_keys_loads():
     ({"matrix": [[0.5, 0.5], [0.5, 0.5]], "target_pi": [True, 0.5]}, "target_pi: entries"),
     ({"matrix": [[0.5, 0.5], [0.5, 0.5]], "target_pi": [True, "0.5"]}, "target_pi: entries"),
     ({"matrix": [[1.0]], "target_pi": [None]}, "target_pi: entries must be JSON numbers"),
+    ({"matrix": [[1.0]], "target_pi": [[1.0]]}, "target_pi: must be a flat array"),
 ])
 def test_design_payload_errors_are_value_errors(payload, message):
     with pytest.raises(ValueError, match=message):
@@ -127,6 +128,7 @@ def test_design_payload_errors_are_value_errors(payload, message):
     ([1.5], "n_peaks: entries must be integers"),   # numpy would truncate it to 1
     ([True], "n_peaks: entries must be integers"),
     ([2.0], "n_peaks: entries must be integers"),
+    ([[1]], "n_peaks: must be a flat array"),   # a per-terminal field is one-dimensional
 ])
 def test_int_array_rejects_what_is_not_an_integer(n_peaks, message):
     payload = AgeStats(np.ones(1), np.ones(1), np.ones(1, dtype=int), 1.0, 1.0, 10, 0).to_json()

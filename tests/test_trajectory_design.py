@@ -5,6 +5,7 @@ from age_patrol import (SolverOptions, SolverError, TOL, TransitionMatrix, assig
                         build_fastest_mixing, build_mh, check_irreducible, design_objective,
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
                         stationary_distribution, target_distribution, validate_design)
+from age_patrol import trajectory_design
 from age_patrol.trajectory_design import (_DYKSTRA_MAX_SWEEPS, _RITZ_RTOL, _FeasibleSet,
                                           _TopSingularPair)
 from conftest import make_complete, make_star
@@ -305,4 +306,54 @@ def test_top_pair_falls_back_to_exact_svd():
     u, s, vt = np.linalg.svd(flat)
     u1, v1, s1 = top_pair(flat)
     assert top_pair.fallbacks == 2
+    assert np.array_equal(u1, u[:, 0]) and np.array_equal(v1, vt[0]) and s1 == s[0]
+
+
+def _rotated(q, rng, eps):
+    """q turned by an orthogonal matrix within about ``eps`` of the identity."""
+    a = eps * rng.standard_normal(q.shape)
+    return np.linalg.qr(np.eye(len(q)) + a - a.T)[0] @ q
+
+
+def test_top_pair_filter_resolves_a_near_double_top_value():
+    # s2/s1 = 1 - 1e-4 and s3/s1 = 0.85: plain subspace steps shrink the
+    # block's error by only about (s9/s1)^2 per step, so without the
+    # Chebyshev filter the warm block falls back to the full SVD
+    rng = np.random.default_rng(43)
+    n = 40
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([[1.0, 1.0 - 1e-4], 0.85 * np.linspace(1.0, 0.5, n - 2)])
+    d = (q1 * s) @ q2.T
+    top_pair = _TopSingularPair()
+    top_pair((_rotated(q1, rng, 1e-2) * s) @ _rotated(q2, rng, 1e-2).T)
+    u1, v1, s1 = top_pair(d)
+    assert top_pair.fallbacks == 1
+    u, sv, vt = np.linalg.svd(d)
+    assert s1 == pytest.approx(sv[0], rel=1e-10)
+    assert _top_pair_residual(d, u1, v1, s1) <= _RITZ_RTOL * s1
+    assert np.linalg.norm(d @ v1 - s1 * u1) <= _RITZ_RTOL * s1
+
+
+def test_top_pair_skips_the_filter_when_the_block_spans_the_space(monkeypatch):
+    # n <= 8: the block spans the whole space and D = P - Pi* is singular, so
+    # the smallest Ritz value is zero up to rounding and there is nothing to damp
+    g = generate_ring_k(7, 1)
+    mh = build_mh(g)
+    d = mh.matrix.p - np.tile(mh.target_pi, (g.n, 1))
+    top_pair = _TopSingularPair()
+    top_pair(d + 1e-3 * np.random.default_rng(47).standard_normal(d.shape))
+    u1, v1, s1 = top_pair(d)        # the plain step is already exact here
+    assert top_pair.fallbacks == 1
+    assert s1 == pytest.approx(np.linalg.svd(d, compute_uv=False)[0], rel=1e-12)
+    assert _top_pair_residual(d, u1, v1, s1) <= _RITZ_RTOL * s1
+    # with every Ritz step rejected, the guard must send the call straight to
+    # the full SVD instead of dividing by a rounding-level theta_k^2
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qr_calls.append(a) or qr(a, *args))
+    monkeypatch.setattr(trajectory_design, "_RITZ_RTOL", 0.0)
+    u1, v1, s1 = top_pair(d)
+    assert qr_calls == [] and top_pair.fallbacks == 2
+    u, s, vt = np.linalg.svd(d)
     assert np.array_equal(u1, u[:, 0]) and np.array_equal(v1, vt[0]) and s1 == s[0]
