@@ -10,7 +10,7 @@ CLI for experiment sweeps.
 """
 
 from .aoi_analysis import (AgeReport, analytic_ages, average_age_lower_bound,
-                           average_age_upper_bound, factor_report, peak_optimal_value)
+                           average_age_upper_bound, peak_optimal_value)
 from .constants import TOL, Tolerances
 from .dissemination import (DiscreteLaw, DisseminationPolicy, QueueModelParams,
                             VacationQueueStats, berg1_vacation_peak_age,

@@ -14,8 +14,6 @@ universal bounds accompany them:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +34,6 @@ class AgeReport(JsonRecord):
     @property
     def n(self) -> int:
         return len(self.per_terminal_peak)
-
-    def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([self.n, self.network_peak, self.network_avg,
-                         self.lower_bound_avg, self.upper_bound_avg, self.peak_opt_value])
-        return buf.getvalue().strip("\r\n")
 
 
 def peak_optimal_value(weights) -> float:
@@ -80,19 +71,3 @@ def analytic_ages(analysis: ChainAnalysis, weights) -> AgeReport:
         upper_bound_avg=average_age_upper_bound(analysis, w),
         peak_opt_value=peak_optimal_value(w),
     )
-
-
-def factor_report(report: AgeReport, *, measured_network_avg: float | None = None,
-                  measured_network_peak: float | None = None) -> dict:
-    """Ratios of achieved ages to their respective optimality baselines.
-
-    Analytic values from the report are used unless measured values (from
-    a simulation of an empirical policy) are supplied.
-    """
-    avg = report.network_avg if measured_network_avg is None else measured_network_avg
-    peak = report.network_peak if measured_network_peak is None else measured_network_peak
-    return {
-        "avg_over_lower_bound": avg / report.lower_bound_avg,
-        "peak_over_optimal": peak / report.peak_opt_value,
-        "avg_within_upper_bound": avg <= report.upper_bound_avg,
-    }

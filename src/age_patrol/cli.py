@@ -24,14 +24,14 @@ import click
 import numpy as np
 
 from .aoi_analysis import analytic_ages, average_age_lower_bound, peak_optimal_value
-from .dissemination import (EVENT_CSV_FIELDS, EVENT_LOG_HORIZON_LIMIT, policy_from_design,
-                            separation_policy, simulate_dissemination, dissemination_report)
+from .dissemination import (EVENT_CSV_FIELDS, policy_from_design, separation_policy,
+                            simulate_dissemination, dissemination_report)
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 from .markov import JsonRecord, analyze
-from .simulation import (AGE_FUNCTIONS, TRACE_HORIZON_LIMIT, _check_window,
-                         simulate_age_based, simulate_periodic, simulate_randomized)
+from .simulation import (TRACE_HORIZON_LIMIT, _check_window, simulate_age_based,
+                         simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
                                 design_objective)
 
@@ -262,7 +262,6 @@ class ExperimentConfig(JsonRecord):
     graph: str | GraphSpec | None = None
     policy: str = "mh"
     sequence: list | None = field(default=None, metadata={"dtype": int})
-    g_fn: str = "quadratic_plus_linear"
     horizon: int = 50_000
     burn_in: int | None = None
     replications: int = 1
@@ -282,9 +281,8 @@ class ExperimentConfig(JsonRecord):
             unknown = set(payload) - {f.name for f in fields(cfg)}
             if unknown:
                 raise ValueError(f"unknown keys {sorted(unknown)}")
-            for key, choices in (("policy", POLICIES), ("g_fn", AGE_FUNCTIONS)):
-                if getattr(cfg, key) not in choices:
-                    raise ValueError(f"{key} must be one of {choices}, not {getattr(cfg, key)!r}")
+            if cfg.policy not in POLICIES:
+                raise ValueError(f"policy must be one of {POLICIES}, not {cfg.policy!r}")
         except ValueError as exc:  # json.JSONDecodeError included
             raise click.UsageError(f"config file {path}: {exc}") from None
         return cfg
@@ -342,12 +340,12 @@ def _experiment(flags: dict) -> ExperimentConfig:
     return cfg
 
 
-def _gathering_run(g, policy, sequence, g_fn, horizon, burn_in, start, matrix, seed, record):
+def _gathering_run(g, policy, sequence, horizon, burn_in, start, matrix, seed, record):
     if policy in ("mh", "fastest"):
         return simulate_randomized(g, matrix, horizon, burn_in, seed=seed, start=start,
                                    record_trace=record)
     if policy == "age_based":
-        return simulate_age_based(g, g_fn, horizon, burn_in, start=start, record_trace=record)
+        return simulate_age_based(g, horizon, burn_in, start=start, record_trace=record)
     return simulate_periodic(g, sequence, horizon, burn_in, record_trace=record)
 
 
@@ -385,7 +383,6 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 @_experiment_options
 @click.option("--policy", type=click.Choice(POLICIES))
 @click.option("--sequence", callback=_int_list, help="comma-separated periodic visit sequence")
-@click.option("--g-fn", type=click.Choice(AGE_FUNCTIONS))
 @click.option("--jobs", type=int)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
               help=f"dump the full age trace (horizon <= {TRACE_HORIZON_LIMIT})")
@@ -397,7 +394,7 @@ def cmd_simulate(trace_path, **flags):
     matrix = None
     if cfg.policy in ("mh", "fastest"):
         matrix = (build_mh(g) if cfg.policy == "mh" else build_fastest_mixing(g)).matrix
-    run = functools.partial(_gathering_run, g, cfg.policy, cfg.sequence, cfg.g_fn, cfg.horizon,
+    run = functools.partial(_gathering_run, g, cfg.policy, cfg.sequence, cfg.horizon,
                             cfg.burn_in, cfg.start, matrix)
     _, trace = _replicate(run, cfg, record=bool(trace_path))
     if trace_path:
@@ -417,7 +414,7 @@ def cmd_simulate(trace_path, **flags):
               help="reuse a trajectory design JSON written by `design`")
 @click.option("--report", type=click.Path(dir_okay=False))
 @click.option("--events", "events_path", type=click.Path(dir_okay=False),
-              help=f"event log CSV (horizon <= {EVENT_LOG_HORIZON_LIMIT})")
+              help=f"event log CSV (horizon <= {TRACE_HORIZON_LIMIT})")
 @_cli_errors
 def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""

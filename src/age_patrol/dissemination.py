@@ -38,10 +38,9 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze
-from .simulation import AgeStats, _check_window, _Recorder, _row_samplers, _sampler
+from .simulation import AgeStats, _check_window, _inverse_cdf, _Recorder, _row_samplers, _sampler
 from .trajectory_design import DesignResult, build_fastest_mixing
 
-EVENT_LOG_HORIZON_LIMIT = 100_000
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
 # a queue backlog above this many packets triggers one QueueBacklogWarning per run
 QUEUE_WARNING_THRESHOLD = 1_000_000
@@ -83,15 +82,6 @@ class DiscreteLaw:
 
     def second_moment(self) -> float:
         return sum(v * v * p for v, p in zip(self.values, self.probs))
-
-    def cumulative(self) -> list:
-        out = []
-        acc = 0.0
-        for p in self.probs:
-            acc += p
-            out.append(acc)
-        out[-1] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -192,8 +182,8 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     rng = np.random.default_rng(seed)
     arrivals = _bernoulli_arrivals(rng, lam, horizon)
     draw = _sampler(rng)
-    svc = (service.cumulative(), service.values)
-    vac = (vacation.cumulative(), vacation.values)
+    svc = _inverse_cdf(service.probs, service.values)
+    vac = _inverse_cdf(vacation.probs, vacation.values)
     rec = _Recorder(1, horizon, burn_in)
     deliver = rec.deliver
 
@@ -321,7 +311,8 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     packet arriving at the agent's current terminal in slot t can be
     delivered in slot t if it reaches the head of the queue.  Peaks are
     recorded only at delivery slots.  Returns AgeStats, plus the event
-    log [(t, kind, terminal, generated)] when record_events is set.
+    log [(t, kind, terminal, generated)] when record_events is set
+    (horizon capped at TRACE_HORIZON_LIMIT).
 
     Each terminal's arrivals are drawn as geometric gaps
     (`_bernoulli_arrivals`), in terminal order, before the walk's
@@ -335,9 +326,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1)
             and np.all(policy.rho < 1)):
         raise StabilityError("need 0 <= lambda_i <= 1 and rho_i < 1 for every terminal")
-    burn_in = _check_window(horizon, burn_in)
-    if record_events and horizon > EVENT_LOG_HORIZON_LIMIT:
-        raise ValueError(f"event logs are limited to horizons <= {EVENT_LOG_HORIZON_LIMIT}")
+    burn_in = _check_window(horizon, burn_in, trace=record_events)
     if not 0 <= start < n:
         raise ValueError("start terminal out of range")
 

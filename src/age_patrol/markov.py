@@ -1,7 +1,7 @@
 """Core Markov-chain analytics for randomized patrol trajectories.
 
-Everything downstream needs four derived quantities of an irreducible
-row-stochastic matrix P:
+The paper's ages and bounds need three derived quantities of an
+irreducible row-stochastic matrix P, which `analyze` computes:
 
 * the stationary distribution ``pi`` solving pi P = pi, from one square
   solve of (I - P + 1 1^T)^T pi^T = 1,
@@ -10,10 +10,12 @@ row-stochastic matrix P:
   the one builder of M and `_fundamental_residual` the one check of
   max|M Z - I|,
 * the discrepancy ``max_i sum_j |z_ij - pi_j|``, a computable mixing
-  surrogate,
-* the SLEM (second-largest eigenvalue modulus), a classical mixing
-  diagnostic used for reporting; for a reversible chain it comes from a
-  symmetric eigensolver on D^1/2 P D^-1/2, D = diag(pi).
+  surrogate.
+
+The SLEM (second-largest eigenvalue modulus), a classical mixing
+diagnostic no age formula uses, is computed only when
+`ChainAnalysis.slem` is first read; for a reversible chain it comes from
+a symmetric eigensolver on D^1/2 P D^-1/2, D = diag(pi).
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
 exactly testable O(n^3) solves beat iterative machinery.  At n = 2000 an
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -167,11 +170,15 @@ class ChainAnalysis:
     z: np.ndarray
     z_diag: np.ndarray
     discrepancy: float
-    slem: float
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @cached_property
+    def slem(self) -> float:
+        """`slem` of the chain, computed on first read (it may warn PeriodicityWarning)."""
+        return slem(self.matrix, self.pi)
 
     def validate(self) -> None:
         """Re-check the defining residuals; raises on violation."""
@@ -300,7 +307,11 @@ def discrepancy_of(z: np.ndarray, pi: np.ndarray) -> float:
 
 
 def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
-    """Bundle stationary distribution, fundamental matrix, discrepancy, SLEM.
+    """Bundle stationary distribution, fundamental matrix and discrepancy.
+
+    The SLEM is left to the first read of ``ChainAnalysis.slem``, so this
+    never warns PeriodicityWarning: every quantity it returns is valid for
+    periodic irreducible chains too.
 
     ``pi`` may be supplied when it is known in closed form (e.g. for a
     designed chain); it is then verified rather than re-solved: it must be
@@ -323,7 +334,6 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
         z=z,
         z_diag=np.diag(z).copy(),
         discrepancy=discrepancy_of(z, pi),
-        slem=slem(P, pi),
     )
 
 

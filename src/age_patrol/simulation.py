@@ -27,9 +27,8 @@ from .aoi_analysis import average_age_lower_bound
 from .graphs import MobilityGraph, bfs_distances
 from .markov import JsonRecord, TransitionMatrix
 
+# longest horizon whose per-slot trace or event log a run may record
 TRACE_HORIZON_LIMIT = 100_000
-# the age functions g of the age-based walker, by name
-AGE_FUNCTIONS = ("quadratic_plus_linear", "identity")
 _WALK_BUFFER = 1 << 16
 # guard rails for the exhaustive periodic-trajectory search
 BRUTE_FORCE_MAX_TERMINALS = 8
@@ -145,20 +144,29 @@ def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
     if not 0 <= burn_in < horizon:
         raise ValueError("need horizon > burn_in >= 0")
     if trace and horizon > TRACE_HORIZON_LIMIT:
-        raise ValueError(f"traces are limited to horizons <= {TRACE_HORIZON_LIMIT}")
+        raise ValueError(f"traces and event logs are limited to horizons <= "
+                         f"{TRACE_HORIZON_LIMIT}")
     return burn_in
+
+
+def _inverse_cdf(probs, values) -> tuple:
+    """The (cumulative probabilities, values) table that `_sampler` draws from."""
+    return np.cumsum(probs).tolist(), values
 
 
 def _row_samplers(p: np.ndarray) -> list:
     samplers = []
     for row in p:
         nz = np.nonzero(row)[0]
-        samplers.append((np.cumsum(row[nz]).tolist(), nz.tolist()))
+        samplers.append(_inverse_cdf(row[nz], nz.tolist()))
     return samplers
 
 
 def _sampler(rng: np.random.Generator):
     """Return draw((cum, vals)): one inverse-CDF draw from buffered uniforms.
+
+    A uniform at or past the last cumulative probability (which rounding
+    may leave just below 1) draws the last value.
 
     The buffer is filled on the first draw, so a caller that draws other
     variates from rng first (arrivals) keeps them ahead of the walk buffer.
@@ -211,18 +219,13 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
     return _gathering_result(rec, g, log)
 
 
-def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: int = 50_000,
-                       burn_in: int | None = None, start: int = 0,
-                       record_trace: bool = False):
-    """Greedy walker: move to the neighbour j maximizing w_j * g(A_j(t)).
+def simulate_age_based(g: MobilityGraph, horizon: int = 50_000, burn_in: int | None = None,
+                       start: int = 0, record_trace: bool = False):
+    """Greedy walker: move to the neighbour j maximizing w_j (A_j(t)^2 + A_j(t)).
 
-    g_fn names g: "quadratic_plus_linear" (a^2 + a, the default) or
-    "identity".  Ties break to the lowest index, so the walk is
-    deterministic and draws no random numbers.
+    Ties break to the lowest index, so the walk is deterministic and draws
+    no random numbers.
     """
-    if g_fn not in AGE_FUNCTIONS:
-        raise ValueError(f"unknown age function: {g_fn!r}")
-    quadratic = g_fn == "quadratic_plus_linear"
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
@@ -242,19 +245,12 @@ def simulate_age_based(g: MobilityGraph, g_fn="quadratic_plus_linear", horizon: 
             log.append(cur)
         best_val = -1.0
         best_j = -1
-        if quadratic:
-            for j in nbrs[cur]:
-                a = t - last[j]
-                val = w[j] * (a * a + a)
-                if val > best_val:
-                    best_val = val
-                    best_j = j
-        else:
-            for j in nbrs[cur]:
-                val = w[j] * (t - last[j])
-                if val > best_val:
-                    best_val = val
-                    best_j = j
+        for j in nbrs[cur]:
+            a = t - last[j]
+            val = w[j] * (a * a + a)
+            if val > best_val:
+                best_val = val
+                best_j = j
         cur = best_j
     return _gathering_result(rec, g, log)
 

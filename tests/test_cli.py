@@ -447,10 +447,11 @@ def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_p
     {"graph": {"family": "ring", "n": 9, "weights": {"mode": "random_interval", "hi": "b"}}},
     '{"graph": "g.json",',
     {"seeds": [[1], [2]]},
+    {"policy": "age_based", "g_fn": "identity"},
 ], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy", "string-seed",
         "float-seed", "bool-seed", "number-graph", "number-output", "number-report",
         "fraction-sequence", "string-sequence", "inline-string-radius", "inline-number-weights",
-        "inline-string-lo", "inline-string-hi", "invalid-json", "nested-seeds"])
+        "inline-string-lo", "inline-string-hi", "invalid-json", "nested-seeds", "removed-g-fn"])
 def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
@@ -522,3 +523,15 @@ def test_experiment_config_json_round_trip(tmp_path):
                                                                           seed=2))
     assert (cfg.seeds, cfg.sequence, cfg.rate_scale) == ([1, 2], [0, 1], 0.5)
     assert cli.ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
+
+def test_recorded_log_past_the_horizon_limit_is_validation_error(runner, tmp_path):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    out, events = tmp_path / "diss.csv", tmp_path / "e.csv"
+    result = runner.invoke(main, ["disseminate", "--graph", str(graph_path),
+                                  "--horizon", "100001", "--seeds", "1",
+                                  "--events", str(events), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert "event logs are limited" in result.output
+    assert not out.exists() and not events.exists()

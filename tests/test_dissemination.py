@@ -359,6 +359,14 @@ def test_dissemination_fcfs_event_order(k2):
     assert deliveries == int(stats.n_peaks.sum())
 
 
+def test_dissemination_event_log_horizon_limit(k2):
+    policy = quiet_policy(swap_design())
+    _, events = simulate_dissemination(k2, policy, 100_000, record_events=True)
+    assert events[-1][0] == 100_000
+    with pytest.raises(ValueError, match="traces and event logs are limited"):
+        simulate_dissemination(k2, policy, 100_001, record_events=True)
+
+
 def test_dissemination_deterministic_under_seed(k2):
     policy = quiet_policy(swap_design())
     a = simulate_dissemination(k2, policy, 50_000, seed=11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from age_patrol import (PeriodicityWarning,
                         build_mh, check_irreducible, fundamental_matrix,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
+from age_patrol import markov
 from age_patrol.markov import _fundamental_residual, _fundamental_system
 from conftest import random_chain, random_connected_graph
 
@@ -318,9 +321,34 @@ def test_reversible_chains_take_the_symmetric_eigensolver(monkeypatch):
     for seed in range(5):
         g = assign_weights(random_connected_graph(12, seed), "random_interval", seed=seed)
         design = build_mh(g)
-        analyze(design.matrix)
-        analyze(design.matrix, pi=design.target_pi)
+        analyze(design.matrix).slem
+        analyze(design.matrix, pi=design.target_pi).slem
     assert calls == {"eigvalsh": 10, "eigvals": 0}
     for seed in range(5):
-        analyze(random_chain(random_connected_graph(12, seed), seed + 1))
+        analyze(random_chain(random_connected_graph(12, seed), seed + 1)).slem
     assert calls == {"eigvalsh": 10, "eigvals": 5}
+
+
+def test_analyze_leaves_the_slem_to_its_first_read(monkeypatch):
+    calls = []
+
+    def counted(P, pi=None):
+        calls.append((P, pi))
+        return slem(P, pi)
+
+    monkeypatch.setattr(markov, "slem", counted)
+    g = assign_weights(random_connected_graph(12, seed=4), "random_interval", seed=4)
+    P = random_chain(g, seed=5)
+    analysis = analyze(P)
+    assert calls == []
+    assert analysis.slem == slem(P, analysis.pi)
+    assert analysis.slem == slem(P, analysis.pi)
+    assert len(calls) == 1 and calls[0][0] is P and calls[0][1] is analysis.pi
+
+
+def test_periodicity_warning_comes_from_reading_the_slem(swap_matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analysis = analyze(swap_matrix)
+    with pytest.warns(PeriodicityWarning):
+        assert analysis.slem == pytest.approx(1.0, abs=1e-12)
