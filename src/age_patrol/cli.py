@@ -390,6 +390,9 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 def cmd_simulate(trace_path, **flags):
     """Run gathering simulations and write per-replication plus aggregate CSV rows."""
     cfg = _experiment(flags)
+    if cfg.policy in ("age_based", "periodic"):
+        # these walks draw no random numbers: every seed would repeat the first row
+        cfg.seeds = cfg.seed_list()[:1]
     g = cfg.resolve_graph()
     matrix = None
     if cfg.policy in ("mh", "fastest"):

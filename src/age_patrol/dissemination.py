@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +37,13 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze
-from .simulation import AgeStats, _check_window, _inverse_cdf, _Recorder, _row_samplers, _sampler
+from .simulation import (AgeStats, _AgeEngine, _check_window, _groups, _inverse_cdf,
+                         _row_samplers, _sampler, _walk)
 from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
+# the order of a slot's events in the event log
+_EVENT_ORDER = {"arrive": 0, "deliver": 1, "move": 2}
 # a queue backlog above this many packets triggers one QueueBacklogWarning per run
 QUEUE_WARNING_THRESHOLD = 1_000_000
 
@@ -169,12 +171,13 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     """Slot-level simulation of the single vacation queue.
 
     Independent of the analytic formulas: the server works through
-    sampled service/vacation durations and the recorder measures the age
-    process directly.  A delivery happens in the final slot of a service;
-    the server re-checks the queue whenever a service or vacation ends,
-    starting the next activity on the following slot.  Arrivals are drawn
-    first, as geometric gaps (`_bernoulli_arrivals`), then the durations;
-    fixed-seed outputs differ from versions that drew a uniform per slot.
+    sampled service/vacation durations and the age engine measures the age
+    process from the deliveries.  A delivery happens in the final slot of a
+    service; the server re-checks the queue whenever a service or vacation
+    ends, starting the next activity on the following slot.  Arrivals are
+    drawn first, as geometric gaps (`_bernoulli_arrivals`), then the
+    durations; fixed-seed outputs differ from versions that drew a uniform
+    per slot.
     """
     if not 0 < lam < 1:
         raise ValueError("arrival probability must lie in (0, 1)")
@@ -184,9 +187,8 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     draw = _sampler(rng)
     svc = _inverse_cdf(service.probs, service.values)
     vac = _inverse_cdf(vacation.probs, vacation.values)
-    rec = _Recorder(1, horizon, burn_in)
-    deliver = rec.deliver
 
+    slots, generated = [], []   # every delivery's slot and generation slot
     ptr = 0
     n_arr = len(arrivals)
     serving = False
@@ -197,7 +199,8 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
         if remaining > 0:
             continue
         if serving:
-            deliver(0, t, head_gen)
+            slots.append(t)
+            generated.append(head_gen)
         if ptr < n_arr and arrivals[ptr] <= t:
             head_gen = arrivals[ptr]
             ptr += 1
@@ -207,7 +210,10 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
             serving = False
             remaining = draw(vac)
 
-    stats = rec.finish(np.ones(1))
+    engine = _AgeEngine(1, horizon, burn_in)
+    engine.add(np.zeros(len(slots), dtype=np.uint8), np.array(slots, dtype=np.int64),
+               np.array(generated, dtype=np.int64))
+    stats = engine.finish(np.ones(1))
     return VacationQueueStats(
         empirical_peak=float(stats.per_terminal_peak[0]),
         empirical_avg=stats.network_avg,
@@ -317,7 +323,9 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     Each terminal's arrivals are drawn as geometric gaps
     (`_bernoulli_arrivals`), in terminal order, before the walk's
     uniforms; fixed-seed outputs differ from versions that drew a
-    uniform per terminal per slot.
+    uniform per terminal per slot.  The walk never looks at the queues, so
+    it runs first, one chunk at a time, and `_Queues.serve` derives each
+    chunk's deliveries from its visits.
     """
     n = g.n
     if policy.matrix.n != n or len(policy.rates) != n:
@@ -332,47 +340,90 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
 
     rng = np.random.default_rng(seed)
     arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]
-    samplers = _row_samplers(policy.matrix.p)
-    draw = _sampler(rng)
-    rec = _Recorder(n, horizon, burn_in)
-    deliver = rec.deliver
-
-    ptr = [0] * n
-    events = [] if record_events else None
+    queues = _Queues(arrivals, horizon)
+    engine = _AgeEngine(n, horizon, burn_in)
+    walk = _walk(_row_samplers(policy.matrix.p), start, rng, horizon)
+    log = []
+    check = 1 << 14   # the backlog is checked at every multiple of this slot
     warned = False
-    check_mask = (1 << 14) - 1
-
-    cur = start
-    for t in range(1, horizon + 1):
-        arr = arrivals[cur]
-        p = ptr[cur]
-        if p < len(arr) and arr[p] <= t:
-            gen = arr[p]
-            ptr[cur] = p + 1
-            deliver(cur, t, gen)
-            if record_events:
-                events.append((t, "deliver", cur, gen))
-        cur = draw(samplers[cur])
+    for t0, positions in walk:
+        done = queues.delivered.copy()
+        deliveries = queues.serve(positions[:-1], t0)
+        engine.add(*deliveries)
         if record_events:
-            events.append((t, "move", cur, None))
-        if not warned and t & check_mask == 0:
-            for i in range(n):
-                backlog = bisect_right(arrivals[i], t) - ptr[i]
-                if backlog > QUEUE_WARNING_THRESHOLD:
-                    warnings.warn(
-                        f"queue {i} backlog {backlog} exceeds {QUEUE_WARNING_THRESHOLD} "
-                        f"at slot {t}; the system looks unstable",
-                        QueueBacklogWarning, stacklevel=2)
-                    warned = True
-                    break
+            log.append((t0, positions[1:], deliveries))
+        for s in range(-(-t0 // check) * check, t0 + len(positions) - 1, check):
+            terminal, slot, _ = deliveries
+            backlog = queues.arrived(s) - done - np.bincount(terminal[slot <= s], minlength=n)
+            over = np.flatnonzero(backlog > QUEUE_WARNING_THRESHOLD)
+            if len(over) and not warned:
+                warnings.warn(
+                    f"queue {over[0]} backlog {backlog[over[0]]} exceeds "
+                    f"{QUEUE_WARNING_THRESHOLD} at slot {s}; the system looks unstable",
+                    QueueBacklogWarning, stacklevel=2)
+                warned = True
 
-    stats = rec.finish(g.weights)
+    stats = engine.finish(g.weights)
     if record_events:
-        for i, arr in enumerate(arrivals):
-            events.extend((a, "arrive", i, a) for a in arr)
-        events.sort(key=lambda e: (e[0], {"arrive": 0, "deliver": 1, "move": 2}[e[1]]))
+        events = [(a, "arrive", i, a) for i, arr in enumerate(arrivals) for a in arr]
+        for t0, moves, (terminal, slot, generated) in log:
+            events.extend((t, "deliver", i, gen) for t, i, gen in
+                          zip(slot.tolist(), terminal.tolist(), generated.tolist()))
+            events.extend((t, "move", m, None) for t, m in enumerate(moves.tolist(), t0))
+        events.sort(key=lambda e: (e[0], _EVENT_ORDER[e[1]]))
         return stats, events
     return stats
+
+
+class _Queues:
+    """The FCFS packet queues of a dissemination run, served by the walk's visits.
+
+    Terminal i's k-th visit delivers its next packet if one has arrived:
+    with A_k the packets generated by then and D_k those delivered,
+    D_k = min(D_{k-1} + 1, A_k) = k + min(D_0, min_{j <= k} (A_j - j)),
+    a running minimum per terminal.  The packet delivered at visit k is
+    packet D_k - 1.
+    """
+
+    def __init__(self, arrivals: list, horizon: int):
+        counts = np.array([len(a) for a in arrivals], dtype=np.int64)
+        self.stride = horizon + 1
+        self.offset = np.concatenate(([0], np.cumsum(counts)))
+        self.generated = np.concatenate([np.array(a, dtype=np.int64) for a in arrivals])
+        # keys terminal * stride + slot rank every packet in one sorted array
+        self.keys = self.generated + np.repeat(np.arange(len(arrivals)) * self.stride, counts)
+        self.delivered = np.zeros(len(arrivals), dtype=np.int64)
+
+    def arrived(self, slot: int) -> np.ndarray:
+        """Packets generated in slots <= slot, per terminal."""
+        stops = np.arange(len(self.delivered)) * self.stride + slot
+        return np.searchsorted(self.keys, stops, side="right") - self.offset[:-1]
+
+    def serve(self, visits: np.ndarray, t0: int) -> tuple:
+        """Deliveries (terminal, slot, generated) of visits in slots t0, t0 + 1, ...
+
+        The deliveries come grouped by terminal; `delivered` is updated.
+        """
+        order, first, ids = _groups(visits)
+        terminal = visits[order]
+        owner = terminal.astype(np.int64)
+        slot = np.arange(t0, t0 + len(visits))[order]
+        sizes = np.diff(np.append(first, len(slot)))
+        run = np.repeat(np.arange(len(first)), sizes)
+        k = np.arange(1, len(slot) + 1) - np.repeat(first, sizes)
+        arrived = np.searchsorted(self.keys, owner * self.stride + slot, side="right")
+        slack = arrived - self.offset[owner] - k
+        slack[first] = np.minimum(slack[first], self.delivered[ids])
+        # one running minimum over all terminals: lowering each run below the
+        # one before by more than the spread of slack keeps the runs apart
+        drop = run * (slack.max() - slack.min() + 1)
+        total = k + np.minimum.accumulate(slack - drop) + drop
+        before = np.roll(total, 1)
+        before[first] = self.delivered[ids]
+        hit = total > before
+        self.delivered[ids] = total[np.append(first[1:], len(slot)) - 1]
+        return (terminal[hit], slot[hit],
+                self.generated[self.offset[owner[hit]] + total[hit] - 1])
 
 
 _MARGIN = 1.02  # Monte-Carlo slack on the hard dissemination checks

@@ -1,4 +1,4 @@
-"""One age engine for every simulator, and the gathering walkers built on it.
+"""The one age engine every simulator counts with, and the gathering walkers.
 
 A terminal's age is a ramp that grows by 1 per slot and resets when an
 update is delivered: delivering in slot t an update generated in slot G
@@ -7,13 +7,16 @@ delivered before) and restarts the ramp so that the age in slot t + 1 is
 t + 1 - G.  Gathering is the special case G = t (the agent collects a fresh
 update on every visit, so the age at a visit equals the return time);
 dissemination and the vacation queue deliver queued packets with G <= t.
-All of them call one recorder, `_Recorder.deliver(i, t, generated)`.
 
-The recorder never touches ages slot by slot: each delivery adds the
-closed-form, window-clipped sum of the ramp it closes.  This keeps
-million-slot runs cheap while producing exactly the same statistics as a
-naive per-slot update.  Random walks and the queue's service and vacation
-lengths are drawn by one buffered inverse-CDF sampler, `_sampler`.
+Every simulator walks first and counts after.  A tight sequential loop
+produces only the agent's positions, one chunk of `_WALK_BUFFER` slots at a
+time; a random walk draws the chunk's uniforms with one call and spends one
+inverse-CDF lookup per slot.  `_AgeEngine` then takes the chunk's
+deliveries as arrays (terminal, slot, generated), adds the closed-form,
+window-clipped sum of every ramp they close with numpy, and folds the chunk
+into per-terminal carries (the last delivery slot and the generation slot
+of the update delivered then).  Memory therefore does not grow with the
+horizon, and the statistics are exactly those of a naive per-slot update.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .markov import JsonRecord, TransitionMatrix
 
 # longest horizon whose per-slot trace or event log a run may record
 TRACE_HORIZON_LIMIT = 100_000
-_WALK_BUFFER = 1 << 16
+# slots per walk chunk, and uniforms per draw from the generator
+_WALK_BUFFER = 1 << 14
 # guard rails for the exhaustive periodic-trajectory search
 BRUTE_FORCE_MAX_TERMINALS = 8
 BRUTE_FORCE_MAX_PERIOD = 16
@@ -61,65 +65,87 @@ class AgeTrace:
     peaks: list            # per-terminal list of ages recorded at visit slots
 
 
-class _Recorder:
-    """Window-clipped age sums and delivery peaks per terminal.
+def _terminal_dtype(n: int):
+    """Smallest dtype for terminal indices; numpy radix-sorts 8- and 16-bit keys."""
+    return np.min_scalar_type(max(n - 1, 0))
 
-    Statistics cover slots in (burn_in, horizon].  `deliver` is a closure
-    over local lists rather than a method: it runs once per delivery in
-    the per-slot loops, where a bound-method call costs measurably more.
+
+def _groups(terminal: np.ndarray) -> tuple:
+    """Stable sort by terminal: (order, start of each terminal's run, its terminal)."""
+    order = np.argsort(terminal, kind="stable")
+    keys = terminal[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return order, first, keys[first]
+
+
+class _AgeEngine:
+    """Window-clipped age sums and delivery peaks per terminal, one chunk at a time.
+
+    Statistics cover slots in (burn_in, horizon].  Each `add` takes one
+    chunk of deliveries, later than every delivery added before, with at
+    most one per terminal and slot; every sum is an exact int64 for
+    horizons below 2**31.
     """
 
     def __init__(self, n: int, horizon: int, burn_in: int):
-        self.n = n
         self.horizon = horizon
         self.burn_in = burn_in
-        base = [0] * n     # generation slot of the last delivered update
-        last = [0] * n     # slot of the last delivery (0 = never)
-        age_sum = [0] * n
-        peak_sum = [0] * n
-        peak_count = [0] * n
+        self.last = np.zeros(n, dtype=np.int64)   # slot of the last delivery (0 = never)
+        self.base = np.zeros(n, dtype=np.int64)   # generation slot of the update delivered then
+        self.age_sum = np.zeros(n, dtype=np.int64)
+        self.peak_sum = np.zeros(n, dtype=np.int64)
+        self.peak_count = np.zeros(n, dtype=np.int64)
 
-        def deliver(i: int, t: int, generated: int) -> None:
-            b = base[i]
-            lo = last[i] if last[i] > burn_in else burn_in
-            if t > lo:
-                # ages on (lo, t] form the ramp slot - b
-                age_sum[i] += (t - lo) * ((lo + 1 - b) + (t - b)) // 2
-            if t > burn_in:
-                peak_sum[i] += t - b
-                peak_count[i] += 1
-            base[i] = generated
-            last[i] = t
+    def add(self, terminal: np.ndarray, slot: np.ndarray, generated: np.ndarray):
+        """Fold in deliveries given as arrays; gathering passes `generated` = `slot`.
 
-        self.deliver = deliver
-        self.last_delivery = last
-        self._sums = (age_sum, peak_sum, peak_count)
+        `slot` and `generated` are int64 arrays in slot order.
+        """
+        if len(terminal) == 0:
+            return
+        order, first, ids = _groups(terminal)
+        t = slot[order]
+        gen = generated[order]
+        # each delivery closes the ramp its terminal's previous delivery opened
+        prev_t = np.roll(t, 1)
+        prev_t[first] = self.last[ids]
+        prev_b = np.roll(gen, 1)
+        prev_b[first] = self.base[ids]
+        lo = np.maximum(prev_t, self.burn_in)
+        # ages on (lo, t] form the ramp slot - prev_b
+        ramp = np.maximum(t - lo, 0) * (lo + 1 + t - 2 * prev_b) // 2
+        in_window = t > self.burn_in
+        self.age_sum[ids] += np.add.reduceat(ramp, first)
+        self.peak_sum[ids] += np.add.reduceat((t - prev_b) * in_window, first)
+        self.peak_count[ids] += np.add.reduceat(in_window, first, dtype=np.int64)
+        ends = np.append(first[1:], len(t)) - 1
+        self.last[ids] = t[ends]
+        self.base[ids] = gen[ends]
 
     def finish(self, weights) -> AgeStats:
-        """Close every open ramp at the horizon and return the statistics (call once)."""
-        age_sum, peak_sum, peak_count = self._sums
-        counts = np.array(peak_count, dtype=int)
+        """Close every open ramp at the horizon and return the statistics."""
+        h = self.horizon
+        lo = np.maximum(self.last, self.burn_in)
+        age_sum = self.age_sum + (h - lo) * (lo + 1 + h - 2 * self.base) // 2
+        counts = self.peak_count
         with np.errstate(invalid="ignore", divide="ignore"):
-            peaks = np.array(peak_sum, dtype=float) / counts
+            peaks = self.peak_sum / counts
         peaks[counts == 0] = np.nan
-        # close the ramps still open at the horizon; the peaks are already read
-        for i in range(self.n):
-            self.deliver(i, self.horizon, self.horizon)
-        avg = np.array(age_sum, dtype=float) / (self.horizon - self.burn_in)
+        avg = age_sum / (h - self.burn_in)
         return AgeStats(
             per_terminal_peak=peaks,
             per_terminal_avg=avg,
             n_peaks=counts,
             network_peak=float(np.sum(weights * peaks)),
             network_avg=float(np.sum(weights * avg)),
-            horizon=self.horizon,
+            horizon=h,
             burn_in=self.burn_in,
         )
 
 
-def _build_trace(n: int, visit_log: list) -> AgeTrace:
+def _build_trace(n: int, log: np.ndarray) -> AgeTrace:
     """Per-slot ages and visit peaks of a gathering run, rebuilt from its visit log."""
-    log = np.array(visit_log, dtype=int)
+    log = log.astype(int)
     slots = np.arange(1, len(log) + 1)
     ages = np.empty((len(log), n), dtype=np.int64)
     peaks = []
@@ -131,9 +157,21 @@ def _build_trace(n: int, visit_log: list) -> AgeTrace:
     return AgeTrace(horizon=len(log), ages=ages, visit_log=log, peaks=peaks)
 
 
-def _gathering_result(rec: _Recorder, g: MobilityGraph, log: list | None):
-    stats = rec.finish(g.weights)
-    return stats if log is None else (stats, _build_trace(g.n, log))
+def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: bool):
+    """Gathering statistics (G = t at every visit) of a walk given as `_walk` chunks.
+
+    Returns AgeStats, or (AgeStats, AgeTrace) when record_trace is set.
+    """
+    engine = _AgeEngine(g.n, horizon, burn_in)
+    log = []
+    for t0, positions in chunks:
+        visits = positions[:-1]
+        slots = np.arange(t0, t0 + len(visits))
+        engine.add(visits, slots, slots)
+        if record_trace:
+            log.append(visits)
+    stats = engine.finish(g.weights)
+    return (stats, _build_trace(g.n, np.concatenate(log))) if record_trace else stats
 
 
 def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
@@ -150,8 +188,13 @@ def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
 
 
 def _inverse_cdf(probs, values) -> tuple:
-    """The (cumulative probabilities, values) table that `_sampler` draws from."""
-    return np.cumsum(probs).tolist(), values
+    """The (cumulative probabilities, values) table of an inverse-CDF draw.
+
+    A draw is `vals[bisect_right(cum, u)]`: the values carry their last one
+    twice, so a uniform at or past the last cumulative probability (which
+    rounding may leave just below 1) draws the last value.
+    """
+    return np.cumsum(probs).tolist(), list(values) + [values[-1]]
 
 
 def _row_samplers(p: np.ndarray) -> list:
@@ -165,11 +208,8 @@ def _row_samplers(p: np.ndarray) -> list:
 def _sampler(rng: np.random.Generator):
     """Return draw((cum, vals)): one inverse-CDF draw from buffered uniforms.
 
-    A uniform at or past the last cumulative probability (which rounding
-    may leave just below 1) draws the last value.
-
     The buffer is filled on the first draw, so a caller that draws other
-    variates from rng first (arrivals) keeps them ahead of the walk buffer.
+    variates from rng first (arrivals) keeps them ahead of the buffer.
     """
     buf = None
     k = _WALK_BUFFER
@@ -182,10 +222,29 @@ def _sampler(rng: np.random.Generator):
         u = buf[k]
         k += 1
         cum, vals = law
-        pos = bisect_right(cum, u)
-        return vals[pos] if pos < len(vals) else vals[-1]
+        return vals[bisect_right(cum, u)]
 
     return draw
+
+
+def _walk(samplers: list, cur: int, rng: np.random.Generator, horizon: int):
+    """Yield (t0, positions): the agent's positions in slots t0..t0 + m, m <= _WALK_BUFFER.
+
+    The walk starts at `cur` in slot 1 and moves once per slot by an
+    inverse-CDF draw from its row of `samplers`, `horizon` draws in all.
+    Each chunk takes its uniforms from one `rng.random(_WALK_BUFFER)` call,
+    so the walk uses the same stream of uniforms whatever the chunk size.
+    A chunk's last position is the next chunk's first.
+    """
+    dtype = _terminal_dtype(len(samplers))
+    for t0 in range(1, horizon + 1, _WALK_BUFFER):
+        positions = [cur]
+        append = positions.append
+        for u in rng.random(_WALK_BUFFER)[:horizon + 1 - t0].tolist():
+            cum, vals = samplers[cur]
+            cur = vals[bisect_right(cum, u)]
+            append(cur)
+        yield t0, np.array(positions, dtype=dtype)
 
 
 def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
@@ -204,19 +263,32 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
+    walk = _walk(_row_samplers(P.p), start, np.random.default_rng(seed), horizon)
+    return _gather(g, walk, horizon, burn_in, record_trace)
 
-    samplers = _row_samplers(P.p)
-    draw = _sampler(np.random.default_rng(seed))
-    rec = _Recorder(g.n, horizon, burn_in)
-    deliver = rec.deliver
-    log = [] if record_trace else None
-    cur = start
-    for t in range(1, horizon + 1):
-        deliver(cur, t, t)
-        if record_trace:
-            log.append(cur)
-        cur = draw(samplers[cur])
-    return _gathering_result(rec, g, log)
+
+def _age_based_walk(g: MobilityGraph, cur: int, horizon: int):
+    """`_walk`-style chunks of the greedy walk: argmax_j w_j (A_j^2 + A_j), lowest j on ties."""
+    nbrs = g.neighbors
+    w = g.weights.tolist()
+    last = [0] * g.n   # slot of the last visit (0 = never)
+    dtype = _terminal_dtype(g.n)
+    for t0 in range(1, horizon + 1, _WALK_BUFFER):
+        positions = [cur]
+        append = positions.append
+        for t in range(t0, min(t0 + _WALK_BUFFER, horizon + 1)):
+            last[cur] = t
+            best_val = -1.0
+            best_j = -1
+            for j in nbrs[cur]:
+                a = t - last[j]
+                val = w[j] * (a * a + a)
+                if val > best_val:
+                    best_val = val
+                    best_j = j
+            cur = best_j
+            append(cur)
+        yield t0, np.array(positions, dtype=dtype)
 
 
 def simulate_age_based(g: MobilityGraph, horizon: int = 50_000, burn_in: int | None = None,
@@ -229,30 +301,9 @@ def simulate_age_based(g: MobilityGraph, horizon: int = 50_000, burn_in: int | N
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
-    nbrs = g.neighbors
-    if any(not lst for lst in nbrs):
+    if any(not lst for lst in g.neighbors):
         raise ValueError("age-based walker needs positive out-degree everywhere")
-    w = g.weights.tolist()
-
-    rec = _Recorder(g.n, horizon, burn_in)
-    deliver = rec.deliver
-    last = rec.last_delivery
-    log = [] if record_trace else None
-    cur = start
-    for t in range(1, horizon + 1):
-        deliver(cur, t, t)
-        if record_trace:
-            log.append(cur)
-        best_val = -1.0
-        best_j = -1
-        for j in nbrs[cur]:
-            a = t - last[j]
-            val = w[j] * (a * a + a)
-            if val > best_val:
-                best_val = val
-                best_j = j
-        cur = best_j
-    return _gathering_result(rec, g, log)
+    return _gather(g, _age_based_walk(g, start, horizon), horizon, burn_in, record_trace)
 
 
 def _check_sequence(g: MobilityGraph, sequence) -> list:
@@ -327,11 +378,10 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
     burn_in = _check_window(horizon, burn_in, default=length, trace=record_trace)
-    rec = _Recorder(g.n, horizon, burn_in)
-    deliver = rec.deliver
-    for t in range(1, horizon + 1):
-        deliver(seq[(t - 1) % length], t, t)
-    return _gathering_result(rec, g, seq * (horizon // length) if record_trace else None)
+    tour = np.array(seq, dtype=_terminal_dtype(g.n))
+    chunks = ((t0, tour[np.arange(t0 - 1, min(t0 + _WALK_BUFFER, horizon + 1)) % length])
+              for t0 in range(1, horizon + 1, _WALK_BUFFER))
+    return _gather(g, chunks, horizon, burn_in, record_trace)
 
 
 def brute_force_optimal_periodic(g: MobilityGraph, max_period: int):

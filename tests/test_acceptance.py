@@ -155,11 +155,7 @@ def test_criterion_7_separation_policy_bounds():
     swap = DesignResult(matrix=TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
                         target_pi=np.array([0.5, 0.5]),
                         objective=1.0, iterations=0, converged=True)
-    import warnings
-    from age_patrol import PeriodicityWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        policy_k2 = policy_from_design(swap)
+    policy_k2 = policy_from_design(swap)
     assert np.allclose(policy_k2.upper_bounds, 6.5, atol=1e-12)
     for seed in range(20):
         stats = simulate_dissemination(k2, policy_k2, 1_000_000, burn_in=10_000, seed=seed)

@@ -1,10 +1,11 @@
-"""Bounds on the numpy memory the n x n analytics allocate.
+"""Bounds on the numpy memory the n x n analytics and the walk simulators allocate.
 
 At n = 2000 every n x n float64 array is 30.5 MiB, so each temporary shows
 in a process's peak memory.  These tests run at n = 600 and count the peak
 of traced allocations (numpy reports its array buffers to tracemalloc) in
 units of one n x n float64 array, over what was allocated before the call.
-LAPACK's own work buffers are not traced.
+LAPACK's own work buffers are not traced.  The walk simulators hold one
+chunk of slots at a time, so their peak must not grow with the horizon.
 """
 
 import math
@@ -13,7 +14,8 @@ import tracemalloc
 import pytest
 
 from age_patrol import (analyze, assign_weights, build_mh, design_objective,
-                        generate_random_geometric)
+                        generate_random_geometric, generate_ring_k, simulate_age_based,
+                        simulate_randomized)
 
 N = 600
 RADIUS = 2.0 / math.sqrt(N)
@@ -59,3 +61,14 @@ def test_validate_rebuilds_the_fundamental_system_in_row_blocks(chain):
 def test_design_objective_allocates_one_difference(chain):
     design, _ = chain
     assert peak_arrays(lambda: design_objective(design.matrix.p, design.target_pi)) <= 1.1
+
+
+@pytest.mark.parametrize("simulator", ["age_based", "randomized"])
+def test_walk_simulators_hold_one_chunk(simulator):
+    # a sparse ring keeps the traced per-slot loop cheap; the runs span 4 and 31 chunks
+    g = generate_ring_k(200, 1)
+    matrix = build_mh(g).matrix
+    runs = {"age_based": lambda horizon: simulate_age_based(g, horizon),
+            "randomized": lambda horizon: simulate_randomized(g, matrix, horizon)}
+    run = runs[simulator]
+    assert peak_arrays(lambda: run(500_000)) <= 1.5 * peak_arrays(lambda: run(62_500))

@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
-from age_patrol import (AgeReport, PeriodicityWarning, TransitionMatrix, analytic_ages,
-                        analyze, average_age_lower_bound, average_age_upper_bound,
+from age_patrol import (AgeReport, TransitionMatrix, analytic_ages, analyze,
+                        average_age_lower_bound, average_age_upper_bound,
                         build_mh, peak_optimal_value)
 from conftest import random_chain, random_connected_graph
 
 
-def analyze_quiet(P, pi=None):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        return analyze(P, pi)
-
-
 @pytest.fixture
 def two_cycle_analysis(swap_matrix):
-    return analyze_quiet(swap_matrix)
+    return analyze(swap_matrix)
 
 
 def test_two_cycle_ages(two_cycle_analysis):
@@ -33,14 +26,14 @@ def test_two_cycle_ages(two_cycle_analysis):
 def test_iid_chain_on_complete_graph_ages():
     n = 6
     pi = np.full(n, 1.0 / n)
-    report = analytic_ages(analyze_quiet(TransitionMatrix(np.tile(pi, (n, 1)))), np.ones(n))
+    report = analytic_ages(analyze(TransitionMatrix(np.tile(pi, (n, 1)))), np.ones(n))
     assert report.network_peak == pytest.approx(n * n)
     assert report.network_avg == pytest.approx(n * n)  # Z = I here
 
 
 def test_three_cycle_rotation_ages():
     p = TransitionMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    report = analytic_ages(analyze_quiet(p), np.ones(3))
+    report = analytic_ages(analyze(p), np.ones(3))
     # oracle: the 3-periodic age sequence per terminal is 1, 2, 3 repeating
     assert np.allclose(report.per_terminal_avg, (1 + 2 + 3) / 3.0)
     assert report.network_avg == pytest.approx(6.0)
@@ -70,7 +63,7 @@ def test_upper_bound_two_cycle(two_cycle_analysis):
 
 def test_upper_bound_dominates_iid_chain():
     pi = np.array([0.1, 0.2, 0.3, 0.4])
-    analysis = analyze_quiet(TransitionMatrix(np.tile(pi, (4, 1))))
+    analysis = analyze(TransitionMatrix(np.tile(pi, (4, 1))))
     w = np.array([1.0, 2.0, 1.5, 1.0])
     report = analytic_ages(analysis, w)
     assert report.network_avg <= average_age_upper_bound(analysis, w)
@@ -116,7 +109,7 @@ def test_hamiltonian_cycles_meet_the_average_lower_bound(two_cycle_analysis):
     report = analytic_ages(two_cycle_analysis, [1.0, 1.0])
     assert report.network_avg == pytest.approx(report.lower_bound_avg)
     rotation = TransitionMatrix(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float))
-    report3 = analytic_ages(analyze_quiet(rotation), np.ones(3))
+    report3 = analytic_ages(analyze(rotation), np.ones(3))
     assert report3.network_avg == pytest.approx(report3.lower_bound_avg)
 
 

@@ -138,6 +138,35 @@ def test_simulate_periodic_rejects_negative_burn_in(runner, tmp_path, burn_in):
     assert "burn_in" in result.output
 
 
+@pytest.mark.parametrize("policy, simulator, extra", [
+    ("age_based", "simulate_age_based", []),
+    ("periodic", "simulate_periodic", ["--sequence", "0,1,2,3,4"]),
+])
+def test_deterministic_policies_run_once(runner, tmp_path, monkeypatch, policy, simulator,
+                                         extra):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    calls = []
+    original = getattr(cli, simulator)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, simulator, counted)
+    out = tmp_path / "runs.csv"
+    result = invoke(runner, ["simulate", "--graph", str(graph_path), "--policy", policy,
+                             "--horizon", "500", "--seeds", "4,5,6", "--jobs", "1",
+                             "-o", str(out)] + extra)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    rows = read_csv(out)
+    assert [(r["row_type"], r["seed"]) for r in rows] == [("replication", "4"),
+                                                          ("aggregate", "")]
+    assert rows[1]["network_avg"] == rows[0]["network_avg"]
+    assert (rows[1]["peak_stderr"], rows[1]["avg_stderr"]) == ("0.0", "0.0")
+
+
 def test_simulate_determinism(runner, tmp_path):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "2", "-o", str(graph_path)])
@@ -185,7 +214,8 @@ def test_simulate_config_file(runner, tmp_path):
     result = invoke(runner, ["simulate", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     rows = read_csv(out)
-    assert len(rows) == 3
+    # the deterministic age-based walk runs once, for the first seed
+    assert [r["seed"] for r in rows] == ["3", ""]
     assert rows[0]["policy"] == "age_based"
     assert rows[0]["horizon"] == "2000"
 
@@ -510,7 +540,8 @@ def test_config_values_lose_only_to_flags_given(runner, tmp_path):
     assert not (tmp_path / "cfg.csv").exists()
     result = invoke(runner, ["simulate", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
-    assert [r["seed"] for r in read_csv(tmp_path / "cfg.csv")] == ["8", "9", ""]
+    # a periodic replay runs once, for the config's first seed
+    assert [r["seed"] for r in read_csv(tmp_path / "cfg.csv")] == ["8", ""]
 
 
 def test_experiment_config_json_round_trip(tmp_path):

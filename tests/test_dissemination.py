@@ -1,12 +1,11 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy, PeriodicityWarning,
+from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy,
                         QueueBacklogWarning, QueueModelParams, StabilityError,
                         TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
                         berg1_vacation_system_time, build_fastest_mixing, dissemination,
@@ -22,12 +21,6 @@ def swap_design():
         matrix=TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
         target_pi=np.array([0.5, 0.5]),
         objective=1.0, iterations=0, converged=True)
-
-
-def quiet_policy(design, rates=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        return policy_from_design(design, rates=rates)
 
 
 D2 = DiscreteLaw.deterministic(2)
@@ -212,7 +205,7 @@ def test_vacation_batch_interval_contains_exact_peak(lam, service, vacation):
 @pytest.mark.parametrize("instance", ["k2", "geometric8"])
 def test_dissemination_batch_intervals_within_bounds(instance):
     if instance == "k2":
-        g, policy = make_complete(2), quiet_policy(swap_design())
+        g, policy = make_complete(2), policy_from_design(swap_design())
     else:
         g = generate_random_geometric(8, 0.7, seed=2)
         policy = separation_policy(g)
@@ -237,9 +230,7 @@ def test_vacation_simulator_matches_formula_mixed_laws():
 
 
 def test_terminal_bound_two_cycle(swap_matrix):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        analysis = analyze(swap_matrix)
+    analysis = analyze(swap_matrix)
     assert terminal_age_upper_bound(analysis, 0, 2.0 / 3.0) == pytest.approx(6.5, abs=1e-12)
     # the optimum utilization reproduces the closed-form minimum
     rho_star = optimal_utilization(0.75, 0.5)
@@ -250,9 +241,7 @@ def test_terminal_bound_two_cycle(swap_matrix):
 
 
 def test_terminal_bound_diverges_at_small_rho(swap_matrix):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        analysis = analyze(swap_matrix)
+    analysis = analyze(swap_matrix)
     assert terminal_age_upper_bound(analysis, 0, 1e-9) > 1e8
     with pytest.raises(ValueError):
         terminal_age_upper_bound(analysis, 0, 0.0)
@@ -261,7 +250,7 @@ def test_terminal_bound_diverges_at_small_rho(swap_matrix):
 
 
 def test_separation_rates_on_swap_k2(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     assert np.allclose(policy.rates, 1.0 / 3.0, atol=1e-12)
     assert np.allclose(policy.upper_bounds, 6.5, atol=1e-12)
 
@@ -272,7 +261,7 @@ def test_separation_rates_iid_chain_complete_graph():
     pi = np.full(n, 1.0 / n)
     design = DesignResult(matrix=TransitionMatrix(np.tile(pi, (n, 1))), target_pi=pi,
                           objective=0.0, iterations=0, converged=True)
-    policy = quiet_policy(design)
+    policy = policy_from_design(design)
     expected = (1.0 / n) / (1.0 + math.sqrt(1.0 - 1.0 / n))
     assert np.allclose(policy.rates, expected, atol=1e-12)
 
@@ -286,7 +275,7 @@ def test_separation_policy_rates_below_pi():
 
 
 def test_policy_json_round_trip():
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     clone = DisseminationPolicy.from_json(json.loads(json.dumps(policy.to_json())))
     assert np.allclose(clone.rates, policy.rates)
     assert np.allclose(clone.upper_bounds, policy.upper_bounds)
@@ -329,21 +318,21 @@ def test_policy_validate_rejects_nan_rates(swap_matrix):
 
 
 def test_dissemination_peaks_within_bound_k2(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     stats = simulate_dissemination(k2, policy, 1_000_000, burn_in=10_000, seed=3)
     assert np.all(stats.per_terminal_peak <= policy.upper_bounds * 1.02)
     assert np.all(stats.per_terminal_avg <= stats.per_terminal_peak * 1.02)
 
 
 def test_dissemination_suboptimal_rates_still_bounded(k2):
-    base = quiet_policy(swap_design())
-    policy = quiet_policy(swap_design(), rates=base.rates / 2.0)
+    base = policy_from_design(swap_design())
+    policy = policy_from_design(swap_design(), rates=base.rates / 2.0)
     stats = simulate_dissemination(k2, policy, 400_000, burn_in=8_000, seed=4)
     assert np.all(stats.per_terminal_peak <= policy.upper_bounds * 1.02)
 
 
 def test_dissemination_fcfs_event_order(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     stats, events = simulate_dissemination(k2, policy, 4000, burn_in=0, seed=6,
                                            record_events=True)
     last_gen = {}
@@ -360,7 +349,7 @@ def test_dissemination_fcfs_event_order(k2):
 
 
 def test_dissemination_event_log_horizon_limit(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     _, events = simulate_dissemination(k2, policy, 100_000, record_events=True)
     assert events[-1][0] == 100_000
     with pytest.raises(ValueError, match="traces and event logs are limited"):
@@ -368,7 +357,7 @@ def test_dissemination_event_log_horizon_limit(k2):
 
 
 def test_dissemination_deterministic_under_seed(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     a = simulate_dissemination(k2, policy, 50_000, seed=11)
     b = simulate_dissemination(k2, policy, 50_000, seed=11)
     assert np.array_equal(a.per_terminal_avg, b.per_terminal_avg)
@@ -429,7 +418,7 @@ def test_dissemination_stats_match_event_log_replay():
 
 
 def test_dissemination_report_round_trip_and_checks(k2):
-    policy = quiet_policy(swap_design())
+    policy = policy_from_design(swap_design())
     stats = simulate_dissemination(k2, policy, 400_000, burn_in=8_000, seed=7)
     report = dissemination_report(policy, stats, k2.weights)
     assert report["hard_checks"]["peak_bounds_pass"]

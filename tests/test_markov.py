@@ -15,13 +15,6 @@ from age_patrol.markov import _fundamental_residual, _fundamental_system
 from conftest import random_chain, random_connected_graph
 
 
-def analyze_quiet(P, pi=None):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PeriodicityWarning)
-        return analyze(P, pi)
-
-
 def iid_chain(pi):
     pi = np.asarray(pi, dtype=float)
     return TransitionMatrix(np.tile(pi, (len(pi), 1)))
@@ -132,7 +125,7 @@ def test_fundamental_matrix_rejects_wrong_pi(swap_matrix):
 
 
 def test_return_time_moments_two_cycle(swap_matrix):
-    analysis = analyze_quiet(swap_matrix)
+    analysis = analyze(swap_matrix)
     mean, second = return_time_moments(analysis, 0)
     assert mean == pytest.approx(2.0, abs=1e-12)
     assert second == pytest.approx(4.0, abs=1e-12)  # deterministic: variance 0
@@ -140,7 +133,7 @@ def test_return_time_moments_two_cycle(swap_matrix):
 
 def test_return_time_moments_iid_uniform_matches_geometric():
     pi = np.full(4, 0.25)
-    analysis = analyze_quiet(iid_chain(pi))
+    analysis = analyze(iid_chain(pi))
     mean, second = return_time_moments(analysis, 0)
     # oracle: geometric(p) has E[H] = 1/p and E[H^2] = (2 - p)/p^2
     p = 0.25
@@ -173,13 +166,13 @@ def test_return_time_moments_match_monte_carlo():
 
 def test_discrepancy_iid_uniform_two_ways():
     pi = np.full(4, 0.25)
-    analysis = analyze_quiet(iid_chain(pi))
+    analysis = analyze(iid_chain(pi))
     # hand formula: Z = I so row sums of |I - Pi| are 2 (1 - pi_i)
     assert analysis.discrepancy == 2.0 * (1.0 - 0.25)
 
 
 def test_discrepancy_two_cycle(swap_matrix):
-    analysis = analyze_quiet(swap_matrix)
+    analysis = analyze(swap_matrix)
     assert analysis.discrepancy == pytest.approx(0.5, abs=1e-12)
 
 
@@ -237,7 +230,7 @@ def test_analysis_validate_passes_on_real_chain():
 
 def test_analysis_rejects_supplied_nonstationary_pi(swap_matrix):
     with pytest.raises(ValueError):
-        analyze_quiet(swap_matrix, pi=np.array([0.8, 0.2]))
+        analyze(swap_matrix, pi=np.array([0.8, 0.2]))
 
 
 def test_empirical_visit_frequency_matches_pi():

@@ -1,14 +1,19 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from age_patrol import (TransitionMatrix, analytic_ages, analyze,
-                        average_age_lower_bound, brute_force_optimal_periodic, build_mh,
-                        generate_grid_diag, generate_random_geometric, generate_ring_k,
-                        periodic_exact_ages, simulate_age_based, simulate_periodic,
-                        simulate_randomized)
-from age_patrol.simulation import _Recorder
+from age_patrol import (DiscreteLaw, QueueBacklogWarning, TransitionMatrix, analytic_ages,
+                        analyze, average_age_lower_bound, brute_force_optimal_periodic,
+                        build_mh, dissemination, generate_grid_diag,
+                        generate_random_geometric, generate_ring_k, periodic_exact_ages,
+                        separation_policy, simulate_age_based, simulate_berg1_vacation,
+                        simulate_dissemination, simulate_periodic, simulate_randomized,
+                        simulation)
+from age_patrol.simulation import _AgeEngine
 from conftest import (make_complete, make_fig_tree, make_path, random_chain,
                       random_connected_graph)
 
@@ -245,20 +250,23 @@ def delivery_runs(draw):
     return n, horizon, burn_in, deliveries
 
 
-@settings(max_examples=300, deadline=None)
-@given(delivery_runs())
-@example((2, 6, 0, [(1, 0, 1), (3, 0, 2), (6, 0, 4)]))        # burn-in 0; terminal 1 never
-@example((3, 8, 3, [(3, 1, 3), (5, 1, 4), (8, 0, 2), (8, 1, 8)]))  # slots burn_in and horizon
-@example((1, 5, 4, [(2, 0, 1), (4, 0, 4)]))                   # no delivery inside the window
-def test_recorder_matches_per_slot_ages(run):
+def engine_stats(n, horizon, burn_in, deliveries, weights):
+    """Feed the deliveries to the engine one `_WALK_BUFFER`-slot chunk at a time."""
+    rows = np.array(deliveries, dtype=np.int64).reshape(-1, 3)
+    engine = _AgeEngine(n, horizon, burn_in)
+    chunk = simulation._WALK_BUFFER
+    for t0 in range(1, horizon + 1, chunk):
+        t, i, generated = rows[(rows[:, 0] >= t0) & (rows[:, 0] < t0 + chunk)].T
+        engine.add(i, t, generated)
+    return engine.finish(weights)
+
+
+def check_engine_against_per_slot_ages(run):
     # naive reference: the age in slot s is s minus the generation slot of the
     # last update delivered strictly before s (0 before the first delivery)
     n, horizon, burn_in, deliveries = run
-    rec = _Recorder(n, horizon, burn_in)
-    for t, i, generated in deliveries:
-        rec.deliver(i, t, generated)
     weights = np.arange(1.0, n + 1.0)
-    stats = rec.finish(weights)
+    stats = engine_stats(n, horizon, burn_in, deliveries, weights)
 
     ages = np.empty((horizon + 1, n), dtype=np.int64)
     base = [0] * n
@@ -282,3 +290,64 @@ def test_recorder_matches_per_slot_ages(run):
     else:
         assert stats.network_peak == pytest.approx(float(np.sum(weights * expected_peak)))
     assert (stats.horizon, stats.burn_in) == (horizon, burn_in)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delivery_runs())
+@example((2, 6, 0, [(1, 0, 1), (3, 0, 2), (6, 0, 4)]))        # burn-in 0; terminal 1 never
+@example((3, 8, 3, [(3, 1, 3), (5, 1, 4), (8, 0, 2), (8, 1, 8)]))  # slots burn_in and horizon
+@example((1, 5, 4, [(2, 0, 1), (4, 0, 4)]))                   # no delivery inside the window
+def test_age_engine_matches_per_slot_ages(run):
+    check_engine_against_per_slot_ages(run)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delivery_runs())
+@example((2, 9, 4, [(1, 0, 1), (3, 0, 2), (7, 1, 5), (9, 0, 9)]))  # a ramp spans two chunks
+@example((3, 8, 3, [(3, 1, 3), (5, 1, 4), (8, 0, 2), (8, 1, 8)]))  # slots burn_in and horizon
+def test_age_engine_matches_per_slot_ages_in_chunks_of_3(run):
+    # ramps, the burn-in slot and the horizon fall across chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_WALK_BUFFER", 3)
+        check_engine_against_per_slot_ages(run)
+
+
+def every_simulator(threshold):
+    """Fixed-seed outputs of every simulator, pickled, with their warnings."""
+    g = generate_random_geometric(10, 0.6, seed=3)
+    design = build_mh(g)
+    policy = separation_policy(g, design=design)
+    runs = {
+        "randomized": lambda: simulate_randomized(g, design.matrix, 2000, burn_in=17, seed=3,
+                                                  start=4, record_trace=True),
+        "age_based": lambda: simulate_age_based(g, 2000, burn_in=5, record_trace=True),
+        "periodic": lambda: simulate_periodic(make_path(3), [0, 1, 2, 1], 2000, burn_in=7,
+                                              record_trace=True),
+        "dissemination": lambda: simulate_dissemination(g, policy, 2000, burn_in=11, seed=5,
+                                                        record_events=True),
+        "vacation": lambda: simulate_berg1_vacation(0.3, DiscreteLaw.uniform([1, 2, 3]),
+                                                    DiscreteLaw((1, 4), (0.75, 0.25)),
+                                                    2000, burn_in=9, seed=6),
+        # arrivals at the full visit rate, so the backlog check at slot 16384 fires
+        "backlog": lambda: simulate_dissemination(
+            g, dissemination.policy_from_design(design, rates=design.target_pi * 0.999),
+            20_000, seed=7),
+    }
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dissemination, "QUEUE_WARNING_THRESHOLD", threshold)
+        for name, run in runs.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            out[name] = (pickle.dumps(result), [(str(w.message), w.category, w.filename, w.lineno)
+                                        for w in caught])
+    return out
+
+
+def test_simulators_do_not_depend_on_the_chunk_size(monkeypatch):
+    default = every_simulator(threshold=3)
+    assert default["backlog"][1][0][0].endswith("at slot 16384; the system looks unstable")
+    assert default["backlog"][1][0][1:3] == (QueueBacklogWarning, __file__)
+    monkeypatch.setattr(simulation, "_WALK_BUFFER", 3)
+    assert every_simulator(threshold=3) == default
