@@ -29,7 +29,7 @@ from .dissemination import (EVENT_CSV_FIELDS, policy_from_design, separation_pol
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
-from .markov import JsonRecord, analyze
+from .markov import JsonRecord, analyze, read_json, write_json
 from .simulation import (TRACE_HORIZON_LIMIT, _check_window, simulate_age_based,
                          simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
@@ -224,30 +224,21 @@ def cmd_design(graph_path, method, max_iterations, output):
                f"(lower bound {report.lower_bound_avg:.6f}, "
                f"upper bound {report.upper_bound_avg:.6f})")
     if output:
-        payload = design.to_json()
-        payload["age_report"] = report.to_json()
-        Path(output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(output, dict(design.to_json(), age_report=report.to_json()))
         click.echo(f"wrote design -> {output}")
 
 
-def _write_csv(path, fieldnames, rows):
+def _write_csv(path, header, rows):
+    """Write a header and then the rows; a None cell is written empty."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
-def _aggregate_rows(rows, policy, horizon, burn_in):
-    peaks = np.array([r["network_peak"] for r in rows], dtype=float)
-    avgs = np.array([r["network_avg"] for r in rows], dtype=float)
-    k = len(rows)
-    return {
-        "row_type": "aggregate", "policy": policy, "seed": "",
-        "horizon": horizon, "burn_in": burn_in,
-        "network_peak": float(peaks.mean()), "network_avg": float(avgs.mean()),
-        "peak_stderr": float(peaks.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
-        "avg_stderr": float(avgs.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
-    }
+def _stderr(values: np.ndarray) -> float:
+    k = len(values)
+    return float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
 
 
 @dataclass
@@ -276,7 +267,7 @@ class ExperimentConfig(JsonRecord):
     def load(path) -> "ExperimentConfig":
         """Read a config file; a key, type or choice the CLI would not accept is a usage error."""
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = read_json(path)
             cfg = ExperimentConfig.from_json(payload)
             unknown = set(payload) - {f.name for f in fields(cfg)}
             if unknown:
@@ -367,13 +358,12 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
     log = None
     if record:
         outs[0], log = outs[0]
-    rows = [{
-        "row_type": "replication", "policy": cfg.policy, "seed": seed,
-        "horizon": cfg.horizon, "burn_in": stats.burn_in,
-        "network_peak": stats.network_peak, "network_avg": stats.network_avg,
-        "peak_stderr": "", "avg_stderr": "",
-    } for seed, stats in zip(seeds, outs)]
-    rows.append(_aggregate_rows(rows, cfg.policy, cfg.horizon, rows[0]["burn_in"]))
+    rows = [["replication", cfg.policy, seed, cfg.horizon, stats.burn_in,
+             stats.network_peak, stats.network_avg, "", ""] for seed, stats in zip(seeds, outs)]
+    peaks = np.array([stats.network_peak for stats in outs])
+    avgs = np.array([stats.network_avg for stats in outs])
+    rows.append(["aggregate", cfg.policy, "", cfg.horizon, outs[0].burn_in, float(peaks.mean()),
+                 float(avgs.mean()), _stderr(peaks), _stderr(avgs)])
     _write_csv(cfg.output, RUN_CSV_FIELDS, rows)
     click.echo(f"wrote {len(rows)} rows -> {cfg.output}")
     return outs, log
@@ -401,11 +391,9 @@ def cmd_simulate(trace_path, **flags):
                             cfg.burn_in, cfg.start, matrix)
     _, trace = _replicate(run, cfg, record=bool(trace_path))
     if trace_path:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "m"] + [f"A_{i}" for i in range(g.n)])
-            for t in range(trace.horizon):
-                writer.writerow([t + 1, int(trace.visit_log[t])] + trace.ages[t].tolist())
+        _write_csv(trace_path, ["t", "m"] + [f"A_{i}" for i in range(g.n)],
+                   ([t + 1, int(trace.visit_log[t])] + trace.ages[t].tolist()
+                    for t in range(trace.horizon)))
         click.echo(f"wrote trace -> {trace_path}")
 
 
@@ -424,7 +412,7 @@ def cmd_disseminate(design_path, events_path, **flags):
     cfg = _experiment(dict(flags, policy="separation"))
     g = cfg.resolve_graph()
     if design_path:
-        design = DesignResult.from_json(json.loads(Path(design_path).read_text()))
+        design = DesignResult.from_json(read_json(design_path))
     else:
         design = build_fastest_mixing(g)
     policy = separation_policy(g, design=design)
@@ -435,14 +423,10 @@ def cmd_disseminate(design_path, events_path, **flags):
     stats, events = _replicate(run, cfg, record=bool(events_path))
     if cfg.report:
         report = dissemination_report(policy, stats[-1], g.weights)
-        Path(cfg.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(cfg.report, report)
         click.echo(f"wrote report -> {cfg.report}")
     if events_path:
-        with open(events_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVENT_CSV_FIELDS)
-            for t, kind, terminal, gen in events:
-                writer.writerow([t, kind, terminal, "" if gen is None else gen])
+        _write_csv(events_path, EVENT_CSV_FIELDS, events)
         click.echo(f"wrote events -> {events_path}")
 
 
@@ -529,7 +513,7 @@ def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations,
         rows = _figure_rows(fig, [p for p in results
                                   if p["family"] == FIGURES[fig][0] and "error" not in p])
         path = out / f"{fig}.csv"
-        _write_csv(path, SWEEP_CSV_FIELDS, rows)
+        _write_csv(path, SWEEP_CSV_FIELDS, ([row[k] for k in SWEEP_CSV_FIELDS] for row in rows))
         click.echo(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -9,7 +9,8 @@ Both simulators draw an arrival process as its i.i.d. Geometric(lambda)
 gaps (`_bernoulli_arrivals`): about lambda * H draws instead of one
 uniform per slot.  The process is the same in law, but fixed-seed
 dissemination and vacation-queue outputs differ from versions that drew
-one uniform per slot.
+one uniform per slot.  The vacation-queue simulator then steps from one
+service or vacation end to the next, one uniform per duration.
 
 Analytics come from a discrete-time single-server queue with server
 vacations: arrivals Bernoulli(lambda), general service S, and the server
@@ -20,25 +21,28 @@ age is
              + E[V^2] / (2 E[V]) - 1/2,        rho = lambda E[S],
 
 and average age never exceeds peak age.  Substituting the walk's
-return-time moments for both S and V yields a per-terminal upper bound
-on dissemination age for any randomized trajectory, minimized at
-utilization rho_i = 1 / (1 + sqrt(z_ii - pi_i)) — the rate rule used by
-the separation policy on top of the fastest-mixing trajectory.
+return-time moments for both S and V (`terminal_age_upper_bound` evaluates
+this formula) yields a per-terminal upper bound on dissemination age for
+any randomized trajectory, minimized at utilization
+rho_i = 1 / (1 + sqrt(z_ii - pi_i)) — the rate rule used by the
+separation policy on top of the fastest-mixing trajectory.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
-from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze
+from . import simulation
+from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze, return_time_moments
 from .simulation import (AgeStats, _AgeEngine, _check_window, _groups, _inverse_cdf,
-                         _row_samplers, _sampler, _walk)
+                         _row_samplers, _walk)
 from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
@@ -133,8 +137,8 @@ def berg1_vacation_peak_age(p: QueueModelParams) -> float:
     return 1.0 / p.lam + berg1_vacation_system_time(p)
 
 
-def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> list:
-    """Slots in 1..horizon of a Bernoulli(lam) arrival process, ascending.
+def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> np.ndarray:
+    """Slots in 1..horizon of a Bernoulli(lam) arrival process, an ascending int64 array.
 
     The gaps between arrivals are i.i.d. Geometric(lam), so the slots are a
     running sum of geometric draws.  The first chunk is sized to cover the
@@ -143,7 +147,7 @@ def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> l
     for a tiny lam numpy returns INT64_MAX, which would wrap the sum.
     """
     if lam == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     mean = lam * horizon
     k = int(mean + 6.0 * math.sqrt(mean)) + 16
     chunks = []
@@ -153,7 +157,7 @@ def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> l
         chunks.append(slots)
         last = int(slots[-1])
     slots = np.concatenate(chunks)
-    return slots[:np.searchsorted(slots, horizon, side="right")].tolist()
+    return slots[:np.searchsorted(slots, horizon, side="right")]
 
 
 @dataclass(frozen=True)
@@ -168,47 +172,46 @@ class VacationQueueStats:
 def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: DiscreteLaw,
                             horizon: int, burn_in: int | None = None,
                             seed: int = 0) -> VacationQueueStats:
-    """Slot-level simulation of the single vacation queue.
+    """Simulation of the single vacation queue, one service or vacation at a time.
 
     Independent of the analytic formulas: the server works through
     sampled service/vacation durations and the age engine measures the age
     process from the deliveries.  A delivery happens in the final slot of a
     service; the server re-checks the queue whenever a service or vacation
-    ends, starting the next activity on the following slot.  Arrivals are
-    drawn first, as geometric gaps (`_bernoulli_arrivals`), then the
-    durations; fixed-seed outputs differ from versions that drew a uniform
-    per slot.
+    ends, starting the next activity on the following slot, so the loop
+    steps from one activity end to the next.  Arrivals are drawn first, as
+    geometric gaps (`_bernoulli_arrivals`), then one uniform per duration
+    from `rng.random(_WALK_BUFFER)` buffers, as `_walk` draws them;
+    fixed-seed outputs differ from versions that drew a uniform per slot.
     """
     if not 0 < lam < 1:
         raise ValueError("arrival probability must lie in (0, 1)")
     burn_in = _check_window(horizon, burn_in)
     rng = np.random.default_rng(seed)
-    arrivals = _bernoulli_arrivals(rng, lam, horizon)
-    draw = _sampler(rng)
+    arrivals = _bernoulli_arrivals(rng, lam, horizon).tolist()
     svc = _inverse_cdf(service.probs, service.values)
     vac = _inverse_cdf(vacation.probs, vacation.values)
 
     slots, generated = [], []   # every delivery's slot and generation slot
     ptr = 0
     n_arr = len(arrivals)
-    serving = False
-    head_gen = 0
-    remaining = draw(vac)
-    for t in range(1, horizon + 1):
-        remaining -= 1
-        if remaining > 0:
-            continue
-        if serving:
-            slots.append(t)
-            generated.append(head_gen)
-        if ptr < n_arr and arrivals[ptr] <= t:
-            head_gen = arrivals[ptr]
-            ptr += 1
-            serving = True
-            remaining = draw(svc)
-        else:
-            serving = False
-            remaining = draw(vac)
+    t = 0        # the slot the current activity ends in; a vacation starts in slot 1
+    head = None  # generation slot of the packet in service, None on vacation
+    while t <= horizon:
+        for u in rng.random(simulation._WALK_BUFFER).tolist():
+            if head is not None:
+                slots.append(t)
+                generated.append(head)
+            if ptr < n_arr and arrivals[ptr] <= t:
+                head = arrivals[ptr]
+                ptr += 1
+                cum, vals = svc
+            else:
+                head = None
+                cum, vals = vac
+            t += vals[bisect_right(cum, u)]
+            if t > horizon:
+                break
 
     engine = _AgeEngine(1, horizon, burn_in)
     engine.add(np.zeros(len(slots), dtype=np.uint8), np.array(slots, dtype=np.int64),
@@ -227,10 +230,12 @@ def terminal_age_upper_bound(analysis: ChainAnalysis, i: int, rho_i: float) -> f
     """Dissemination age bound for terminal i at queue utilization rho_i."""
     if not 0 < rho_i < 1:
         raise ValueError("rho_i must lie in (0, 1)")
-    pi_i = float(analysis.pi[i])
-    z_ii = float(analysis.z_diag[i])
-    return ((1.0 / pi_i) * (1.0 + z_ii + 1.0 / rho_i + z_ii * rho_i / (1.0 - rho_i))
-            - rho_i / (1.0 - rho_i) - 1.0)
+    # the vacation queue with the walk's return time as both service and vacation;
+    # when the return time is deterministic (a cycle), rounding in Z can leave the
+    # second moment a few ulps below the squared mean, which the queue rejects
+    mean, second = return_time_moments(analysis, i)
+    m = (mean, max(second, mean ** 2))
+    return berg1_vacation_peak_age(QueueModelParams(rho_i * float(analysis.pi[i]), *m, *m))
 
 
 def optimal_utilization(z_ii: float, pi_i: float) -> float:
@@ -365,7 +370,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
 
     stats = engine.finish(g.weights)
     if record_events:
-        events = [(a, "arrive", i, a) for i, arr in enumerate(arrivals) for a in arr]
+        events = [(a, "arrive", i, a) for i, arr in enumerate(arrivals) for a in arr.tolist()]
         for t0, moves, (terminal, slot, generated) in log:
             events.extend((t, "deliver", i, gen) for t, i, gen in
                           zip(slot.tolist(), terminal.tolist(), generated.tolist()))
@@ -389,7 +394,7 @@ class _Queues:
         counts = np.array([len(a) for a in arrivals], dtype=np.int64)
         self.stride = horizon + 1
         self.offset = np.concatenate(([0], np.cumsum(counts)))
-        self.generated = np.concatenate([np.array(a, dtype=np.int64) for a in arrivals])
+        self.generated = np.concatenate(arrivals)
         # keys terminal * stride + slot rank every packet in one sorted array
         self.keys = self.generated + np.repeat(np.arange(len(arrivals)) * self.stride, counts)
         self.delivered = np.zeros(len(arrivals), dtype=np.int64)

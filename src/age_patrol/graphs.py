@@ -5,7 +5,10 @@ A mobility graph is a strongly connected directed graph on terminals
 Edges are stored as ordered pairs without self-loops; the built-in
 families (random geometric, grid with diagonals, ring with neighbour
 radius k) all emit symmetric edge sets, so strong connectivity reduces
-to plain connectivity for them.
+to plain connectivity for them.  `MobilityGraph` is a `JsonRecord`, so a
+graph file is read and written by the package's one JSON codec, which
+rejects a fractional or boolean count or endpoint and a weight that is
+not a JSON number where the file is read.
 """
 
 from __future__ import annotations
@@ -14,21 +17,21 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, GraphValidationError
+from .markov import JsonRecord, read_json, strongly_connected, write_json
 
 MAX_GEOMETRIC_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
-class MobilityGraph:
+class MobilityGraph(JsonRecord):
     n: int
-    edges: frozenset
+    edges: frozenset = field(metadata={"dtype": int, "shape": (None, 2)})
     weights: np.ndarray
-    coords: np.ndarray | None = None
+    coords: np.ndarray | None = field(default=None, metadata={"shape": (None, 2)})
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -70,29 +73,6 @@ class MobilityGraph:
 
     def with_weights(self, weights) -> "MobilityGraph":
         return replace(self, weights=np.asarray(weights, dtype=float))
-
-
-def bfs_distances(adjacency, source: int) -> list:
-    """Hop distances from source along the adjacency lists; -1 marks unreachable."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        d = dist[u] + 1
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = d
-                queue.append(v)
-    return dist
-
-
-def strongly_connected(adjacency) -> bool:
-    """True iff node 0 reaches every node along the lists and every node reaches 0."""
-    reverse = [[] for _ in adjacency]
-    for u, out in enumerate(adjacency):
-        for v in out:
-            reverse[v].append(u)
-    return -1 not in bfs_distances(adjacency, 0) and -1 not in bfs_distances(reverse, 0)
 
 
 def _validate(g: MobilityGraph) -> None:
@@ -225,33 +205,17 @@ def assign_weights(g: MobilityGraph, mode: str, *, lo: float = 1.0, hi: float = 
 
 
 def save_graph(g: MobilityGraph, path) -> None:
-    meta = dict(g.meta)
-    payload = {
-        "n": g.n,
-        "edges": sorted([i, j] for i, j in g.edges),
-        "weights": [float(w) for w in g.weights],
-        "coords": None if g.coords is None else [[float(x), float(y)] for x, y in g.coords],
-        "meta": {
-            "family": meta.pop("family", "custom"),
-            "seed": meta.pop("seed", None),
-            "params": meta.pop("params", {}),
-            **meta,
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, dict(g.to_json(),
+                          meta={"family": "custom", "seed": None, "params": {}, **g.meta}))
 
 
 def load_graph(path) -> MobilityGraph:
+    """Read a graph file; every way it can be malformed raises GraphValidationError."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return MobilityGraph.from_json(read_json(path))
+    except GraphValidationError:
+        raise
     except json.JSONDecodeError as exc:
         raise GraphValidationError(f"could not parse graph file: {exc}") from exc
-    try:
-        n = int(payload["n"])
-        edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
-        weights = payload["weights"]
-        coords = payload.get("coords")
-        meta = payload.get("meta", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise GraphValidationError(f"malformed graph file: {exc}") from exc
-    return MobilityGraph(n, edges, weights, coords, dict(meta))

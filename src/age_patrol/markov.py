@@ -23,21 +23,27 @@ n x n float64 array is 30.5 MiB, so these routines keep no n x n
 temporary beyond what their LAPACK call needs: M is built in place, the
 residual check rebuilds M a block of rows at a time from P, and
 elementwise steps write into an array the routine already holds.
-`JsonRecord` is the one JSON codec of the package's result records.
+
+Irreducibility is strong connectivity of the support digraph, so the
+breadth-first search behind it (`bfs_distances`, `strongly_connected`)
+lives here too and serves the graph checks and the brute-force search.
+`JsonRecord` is the one JSON codec of the package's records, graphs
+included, and `read_json`/`write_json` its one file reader and writer.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .constants import TOL
 from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
-from .graphs import strongly_connected
 
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 # largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
@@ -82,14 +88,17 @@ class TransitionMatrix:
 class JsonRecord:
     """Mixin giving a dataclass a JSON form: its fields by name.
 
-    Arrays and transition matrices are written as (nested) lists, nested
-    records as objects and every other value as it is.  `from_json`
-    converts each value by its field annotation (an array or list field
-    takes the dtype in its ``metadata``, float by default, and every entry
-    must be a JSON number, a whole one for an int dtype), leaves an absent
-    field with a default at that default and ignores unknown keys, so a
-    record can travel inside a larger payload.  A missing required key or
-    an ill-typed value raises ValueError.
+    Arrays and transition matrices are written as (nested) lists, a
+    frozenset of pairs as its pairs in sorted order, nested records as
+    objects and every other value as it is.  `from_json` converts each
+    value by its field annotation (an array, list or frozenset field takes
+    the dtype in its ``metadata``, float by default, and every entry must be
+    a JSON number, a whole one for an int dtype; an array is flat unless its
+    ``metadata`` declares a 2-D ``shape`` such as ``(None, 2)``, and a
+    frozenset is read as a set of such rows), leaves an absent field with a
+    default at that default and ignores unknown keys, so a record can
+    travel inside a larger payload.  A missing required key or an
+    ill-typed value raises ValueError.
     """
 
     def to_json(self) -> dict:
@@ -109,17 +118,29 @@ class JsonRecord:
         return cls(**values)
 
 
+def read_json(path):
+    """The JSON value in a file; text that is not JSON raises json.JSONDecodeError."""
+    return json.loads(Path(path).read_text())
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON with sorted keys, two-space indents and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _encode(value):
     if isinstance(value, JsonRecord):
         return value.to_json()
+    if isinstance(value, frozenset):  # of pairs
+        return sorted(map(list, value))
     if isinstance(value, TransitionMatrix):
         value = value.p
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 # field type -> the JSON value types it accepts; a nested record takes an object
-_JSON_TYPES = {np.ndarray: list, TransitionMatrix: list, list: list, dict: dict, str: str,
-               bool: bool, int: int, float: (int, float)}
+_JSON_TYPES = {np.ndarray: list, TransitionMatrix: list, list: list, frozenset: list,
+               dict: dict, str: str, bool: bool, int: int, float: (int, float)}
 _JSON_NAMES = {list: "a JSON array", dict: "a JSON object", str: "a JSON string",
                bool: "a JSON boolean", int: "an integer", (int, float): "a JSON number"}
 
@@ -152,12 +173,18 @@ def _decode(cls, f, hint, value):
         if not _numbers(value, int if dtype is int else (int, float)):
             raise ValueError(f"entries must be {'integers' if dtype is int else 'JSON numbers'}")
         array = np.array(value, dtype=dtype)
-        if kind is not TransitionMatrix and array.ndim != 1:
-            raise ValueError("must be a flat array")
+        shape = f.metadata.get("shape", (None,))  # None: any length
+        if kind is not TransitionMatrix and not (
+                array.ndim == len(shape)
+                and all(want in (None, got) for want, got in zip(shape, array.shape))):
+            raise ValueError("must be a flat array" if len(shape) == 1
+                             else f"must be an array of rows of {shape[1]} entries")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{cls.__name__}.{f.name}: {exc}") from None
     if kind is list:
         return array.tolist()
+    if kind is frozenset:
+        return frozenset(map(tuple, array.tolist()))
     return TransitionMatrix(array) if kind is TransitionMatrix else array
 
 
@@ -193,6 +220,29 @@ class ChainAnalysis:
             raise NumericalError("fundamental matrix residual out of tolerance")
         if self.discrepancy < 0:
             raise NumericalError("discrepancy must be nonnegative")
+
+
+def bfs_distances(adjacency, source: int) -> list:
+    """Hop distances from source along the adjacency lists; -1 marks unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                queue.append(v)
+    return dist
+
+
+def strongly_connected(adjacency) -> bool:
+    """True iff node 0 reaches every node along the lists and every node reaches 0."""
+    reverse = [[] for _ in adjacency]
+    for u, out in enumerate(adjacency):
+        for v in out:
+            reverse[v].append(u)
+    return -1 not in bfs_distances(adjacency, 0) and -1 not in bfs_distances(reverse, 0)
 
 
 def check_irreducible(P: TransitionMatrix) -> bool:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aoi_analysis import average_age_lower_bound
-from .graphs import MobilityGraph, bfs_distances
-from .markov import JsonRecord, TransitionMatrix
+from .graphs import MobilityGraph
+from .markov import JsonRecord, TransitionMatrix, bfs_distances
 
 # longest horizon whose per-slot trace or event log a run may record
 TRACE_HORIZON_LIMIT = 100_000
@@ -205,28 +205,6 @@ def _row_samplers(p: np.ndarray) -> list:
     return samplers
 
 
-def _sampler(rng: np.random.Generator):
-    """Return draw((cum, vals)): one inverse-CDF draw from buffered uniforms.
-
-    The buffer is filled on the first draw, so a caller that draws other
-    variates from rng first (arrivals) keeps them ahead of the buffer.
-    """
-    buf = None
-    k = _WALK_BUFFER
-
-    def draw(law):
-        nonlocal buf, k
-        if k == _WALK_BUFFER:
-            buf = rng.random(_WALK_BUFFER).tolist()
-            k = 0
-        u = buf[k]
-        k += 1
-        cum, vals = law
-        return vals[bisect_right(cum, u)]
-
-    return draw
-
-
 def _walk(samplers: list, cur: int, rng: np.random.Generator, horizon: int):
     """Yield (t0, positions): the agent's positions in slots t0..t0 + m, m <= _WALK_BUFFER.
 
@@ -301,8 +279,6 @@ def simulate_age_based(g: MobilityGraph, horizon: int = 50_000, burn_in: int | N
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
-    if any(not lst for lst in g.neighbors):
-        raise ValueError("age-based walker needs positive out-degree everywhere")
     return _gather(g, _age_based_walk(g, start, horizon), horizon, burn_in, record_trace)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy,
                         berg1_vacation_system_time, build_fastest_mixing, dissemination,
                         dissemination_report, generate_random_geometric, optimal_utilization,
                         policy_from_design, separation_policy, simulate_berg1_vacation,
-                        simulate_dissemination, terminal_age_upper_bound)
+                        simulate_dissemination, simulation, terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
+from age_patrol.trajectory_design import build_mh
 from conftest import make_complete
 
 
@@ -88,11 +90,11 @@ def test_discrete_law_moments():
 
 
 def test_arrivals_zero_rate_is_empty():
-    assert _bernoulli_arrivals(np.random.default_rng(0), 0.0, 1000) == []
+    assert _bernoulli_arrivals(np.random.default_rng(0), 0.0, 1000).tolist() == []
 
 
 def test_arrivals_unit_rate_fills_every_slot():
-    assert _bernoulli_arrivals(np.random.default_rng(0), 1.0, 1000) == list(range(1, 1001))
+    assert _bernoulli_arrivals(np.random.default_rng(0), 1.0, 1000).tolist() == list(range(1, 1001))
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-18, 1e-12])
@@ -100,18 +102,18 @@ def test_arrivals_tiny_rate_does_not_wrap(lam):
     # numpy returns gaps near or at INT64_MAX here; unclipped, their running sum wraps
     # negative and every slot would look like an arrival
     for seed in range(5):
-        assert _bernoulli_arrivals(np.random.default_rng(seed), lam, 100_000) == []
+        assert _bernoulli_arrivals(np.random.default_rng(seed), lam, 100_000).tolist() == []
 
 
 @pytest.mark.parametrize("lam", [0.002, 0.3, 0.9, 1.0])
 @pytest.mark.parametrize("horizon", [1, 17, 5000])
 def test_arrivals_increasing_within_horizon_and_seeded(lam, horizon):
     for seed in range(20):
-        slots = _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon)
+        slots = _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon).tolist()
         assert all(isinstance(t, int) for t in slots)
         assert all(1 <= t <= horizon for t in slots)
         assert all(a < b for a, b in zip(slots, slots[1:]))
-        assert slots == _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon)
+        assert slots == _bernoulli_arrivals(np.random.default_rng(seed), lam, horizon).tolist()
 
 
 def test_arrivals_extend_a_short_first_chunk():
@@ -126,7 +128,7 @@ def test_arrivals_extend_a_short_first_chunk():
             return self.rng.geometric(p, size=3)
 
     short = ShortChunks(3)
-    slots = _bernoulli_arrivals(short, 0.5, 200)
+    slots = _bernoulli_arrivals(short, 0.5, 200).tolist()
     assert short.calls > 10
     stream = np.cumsum(np.random.default_rng(3).geometric(0.5, size=3 * short.calls))
     assert slots == stream[stream <= 200].tolist()
@@ -163,7 +165,7 @@ def test_arrival_gaps_are_geometric(lam):
     bin takes the rest.
     """
     horizon = math.ceil(20_000 / lam)
-    slots = _bernoulli_arrivals(np.random.default_rng(int(lam * 1000) + 1), lam, horizon)
+    slots = _bernoulli_arrivals(np.random.default_rng(int(lam * 1000) + 1), lam, horizon).tolist()
     gaps = np.diff(np.array([0] + slots))
     total = len(gaps)
     pmf = []
@@ -227,6 +229,113 @@ def test_vacation_simulator_matches_formula_mixed_laws():
     params = QueueModelParams.from_laws(0.3, service, vacation)
     sim = simulate_berg1_vacation(0.3, service, vacation, 500_000, seed=5)
     assert sim.empirical_peak == pytest.approx(berg1_vacation_peak_age(params), rel=0.02)
+
+
+def slot_loop_vacation(lam, service, vacation, horizon, burn_in, seed):
+    """The vacation queue as a per-slot countdown, with its ages counted slot by slot.
+
+    The server draws a duration whenever an activity ends and counts it down
+    one slot at a time; the arrivals and the uniforms come from the generator
+    in the simulator's order, the uniforms in one call (at most one per slot
+    plus the first).  Returns (peak, average, deliveries) and whether an
+    activity ended in the last slot.
+    """
+    rng = np.random.default_rng(seed)
+    arrivals = _bernoulli_arrivals(rng, lam, horizon).tolist()
+    uniforms = iter(rng.random(horizon + 1).tolist())
+
+    def draw(law):
+        cum = np.cumsum(law.probs).tolist()
+        return law.values[min(bisect_right(cum, next(uniforms)), len(law.values) - 1)]
+
+    ptr, serving, head, base = 0, False, 0, 0
+    age_sum, peaks, ended = 0, [], False
+    remaining = draw(vacation)
+    for t in range(1, horizon + 1):
+        if t > burn_in:
+            age_sum += t - base
+        remaining -= 1
+        ended = remaining == 0
+        if remaining > 0:
+            continue
+        if serving:
+            if t > burn_in:
+                peaks.append(t - base)
+            base = head
+        if ptr < len(arrivals) and arrivals[ptr] <= t:
+            head = arrivals[ptr]
+            ptr += 1
+            serving = True
+            remaining = draw(service)
+        else:
+            serving = False
+            remaining = draw(vacation)
+    peak = sum(peaks) / len(peaks) if peaks else math.nan
+    return (peak, age_sum / (horizon - burn_in), len(peaks)), ended
+
+
+LAWS = {"one": DiscreteLaw.deterministic(1), "two": D2,
+        "three": DiscreteLaw.uniform([1, 2, 3]), "mixed": DiscreteLaw((1, 4), (0.75, 0.25)),
+        "wide": DiscreteLaw((2, 5, 9), (0.2, 0.5, 0.3))}
+# (lam, service, vacation): unit laws end an activity in every slot, the horizon included
+VACATION_QUEUES = [(0.6, "one", "one"), (0.3, "two", "three"), (0.3, "mixed", "wide"),
+                   (0.15, "wide", "two")]
+
+
+def test_vacation_simulator_matches_the_slot_loop(monkeypatch):
+    cases = [(queue, horizon, (horizon - 1) // 3, 10 * k + h)
+             for k, queue in enumerate(VACATION_QUEUES)
+             for h, horizon in enumerate([1, 2, 5, 17, 1000, 20_000])]
+    ends_on_horizon = 0
+    for (lam, service, vacation), horizon, burn_in, seed in cases:
+        expected, ended = slot_loop_vacation(lam, LAWS[service], LAWS[vacation], horizon,
+                                             burn_in, seed)
+        ends_on_horizon += ended
+        for chunk in (simulation._WALK_BUFFER, 3):
+            monkeypatch.setattr(simulation, "_WALK_BUFFER", chunk)
+            sim = simulate_berg1_vacation(lam, LAWS[service], LAWS[vacation], horizon,
+                                          burn_in, seed)
+            np.testing.assert_equal(
+                (sim.empirical_peak, sim.empirical_avg, sim.n_deliveries, sim.burn_in),
+                expected + (burn_in,), err_msg=f"{lam, service, vacation, horizon, chunk}")
+        monkeypatch.undo()
+    assert len(cases) >= 20 and ends_on_horizon >= 6
+
+
+def hand_expanded_bound(analysis, i, rho_i):
+    """The dissemination bound written out term by term from z_ii and pi_i."""
+    pi_i = float(analysis.pi[i])
+    z_ii = float(analysis.z_diag[i])
+    return ((1.0 / pi_i) * (1.0 + z_ii + 1.0 / rho_i + z_ii * rho_i / (1.0 - rho_i))
+            - rho_i / (1.0 - rho_i) - 1.0)
+
+
+def test_terminal_bound_matches_the_hand_expansion():
+    worst = 0.0
+    for seed in range(5):
+        g = generate_random_geometric(40, 2.0 / math.sqrt(40), seed=seed)
+        design = build_mh(g)
+        analysis = analyze(design.matrix, pi=design.target_pi)
+        optimal = policy_from_design(design).rho
+        for i in range(g.n):
+            for rho in [optimal[i], 0.05, 0.2, 0.5, 0.8, 0.9]:
+                reference = hand_expanded_bound(analysis, i, rho)
+                bound = terminal_age_upper_bound(analysis, i, rho)
+                worst = max(worst, abs(bound - reference) / reference)
+    assert worst <= 4e-15
+
+
+def test_terminal_bound_on_a_long_cycle_matches_its_closed_form():
+    # the return time is n exactly, so rounding in Z can put its variance below 0
+    n = 200
+    cycle = DesignResult(TransitionMatrix(np.roll(np.eye(n), 1, axis=1)), np.full(n, 1 / n),
+                         None, 0, True)
+    analysis = analyze(cycle.matrix, pi=cycle.target_pi)
+    for rho in [0.05, 0.2, 0.5, 0.8, 0.9]:
+        exact = n / rho + n + rho * (n - 1) / (2 * (1 - rho)) + (n - 1) / 2
+        bounds = [terminal_age_upper_bound(analysis, i, rho) for i in range(n)]
+        assert np.max(np.abs(np.array(bounds) / exact - 1)) <= 4e-15
+    assert np.all(np.isfinite(policy_from_design(cycle).upper_bounds))
 
 
 def test_terminal_bound_two_cycle(swap_matrix):

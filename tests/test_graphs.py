@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from age_patrol import (DisconnectedGraphError, GraphValidationError, MobilityGraph,
                         assign_weights, generate_grid_diag, generate_random_geometric,
                         generate_ring_k, load_graph, save_graph)
+from age_patrol.cli import EXIT_VALIDATION, main
 
 
 def test_geometric_two_nodes_full_radius_is_complete():
@@ -190,6 +192,36 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(GraphValidationError, match="could not parse"):
         load_graph(path)
+
+
+TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]],
+            "weights": [1.0, 1.0, 1.0], "coords": None,
+            "meta": {"family": "custom", "seed": None, "params": {}}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": 3.7}, r"MobilityGraph\.n must be an integer"),
+    ({"n": "3"}, r"MobilityGraph\.n must be an integer"),
+    ({"edges": TRIANGLE["edges"][:-1] + [[2, 0.5]]}, r"MobilityGraph\.edges: entries must be"),
+    ({"edges": TRIANGLE["edges"][:-1] + [[2, False]]}, r"MobilityGraph\.edges: entries must be"),
+    ({"weights": [1.0, "1", 1.0]}, r"MobilityGraph\.weights: entries must be JSON numbers"),
+    ({"weights": [1.0, True, 1.0]}, r"MobilityGraph\.weights: entries must be JSON numbers"),
+    ({"meta": [1]}, r"MobilityGraph\.meta must be a JSON object"),
+    ({"weights": [[1.0, 1.0, 1.0]]}, r"MobilityGraph\.weights: must be a flat array"),
+], ids=["fractional-n", "string-n", "fractional-endpoint", "boolean-endpoint", "string-weight",
+        "boolean-weight", "list-meta", "2d-weights"])
+def test_malformed_graph_file_is_a_validation_error(tmp_path, change, message):
+    # numpy or int() would read each of these values as something else
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(TRIANGLE))
+    assert load_graph(path).n == 3
+    path.write_text(json.dumps(dict(TRIANGLE, **change)))
+    with pytest.raises(GraphValidationError, match=message):
+        load_graph(path)
+    result = CliRunner().invoke(main, ["design", "--graph", str(path), "--method", "mh"])
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert "malformed graph file" in result.output
 
 
 def test_graph_rejects_non_finite_weights_and_coords():
