@@ -101,14 +101,15 @@ class QueueModelParams:
     vacation_second_moment: float
 
     def __post_init__(self):
-        # written so that NaN and infinite moments fail them
+        # written so that NaN and infinite moments fail them; the second-moment tests are
+        # relative, as a deterministic time's E[T^2] can come out ulps below E[T]^2
         if not 0 < self.lam < 1:
             raise ValueError("arrival probability must lie in (0, 1)")
         if not (1 <= self.service_mean < math.inf and 1 <= self.vacation_mean < math.inf):
             raise ValueError("service and vacation means must be finite and >= 1 slot")
-        if not self.service_mean ** 2 - 1e-12 <= self.service_second_moment < math.inf:
+        if not self.service_mean ** 2 * (1 - 1e-12) <= self.service_second_moment < math.inf:
             raise ValueError("service second moment must be finite and >= squared mean")
-        if not self.vacation_mean ** 2 - 1e-12 <= self.vacation_second_moment < math.inf:
+        if not self.vacation_mean ** 2 * (1 - 1e-12) <= self.vacation_second_moment < math.inf:
             raise ValueError("vacation second moment must be finite and >= squared mean")
         if self.rho >= 1:
             raise StabilityError(f"utilization rho = {self.rho:.4f} >= 1; queue unstable")
@@ -231,8 +232,8 @@ def terminal_age_upper_bound(analysis: ChainAnalysis, i: int, rho_i: float) -> f
     if not 0 < rho_i < 1:
         raise ValueError("rho_i must lie in (0, 1)")
     # the vacation queue with the walk's return time as both service and vacation;
-    # when the return time is deterministic (a cycle), rounding in Z can leave the
-    # second moment a few ulps below the squared mean, which the queue rejects
+    # for a deterministic return time (a cycle), rounding in Z can leave the second
+    # moment ulps below the squared mean; the clamp keeps the bound at its closed form
     mean, second = return_time_moments(analysis, i)
     m = (mean, max(second, mean ** 2))
     return berg1_vacation_peak_age(QueueModelParams(rho_i * float(analysis.pi[i]), *m, *m))

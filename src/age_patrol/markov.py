@@ -52,12 +52,19 @@ _SYMMETRIC_SPECTRUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix; entries must be finite and nonnegative (no tolerance)."""
+    """Row-stochastic matrix; entries must be finite and nonnegative (no tolerance).
+
+    A read-only, C-contiguous float64 array that owns its data (no view of
+    a writable array) is adopted without a copy; any other input is copied.
+    """
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        p = self.p
+        if not (type(p) is np.ndarray and p.dtype == np.float64 and not p.flags.writeable
+                and p.flags.c_contiguous and p.flags.owndata):
+            p = np.array(p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
         if not np.all(np.isfinite(p)):

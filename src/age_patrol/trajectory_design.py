@@ -11,8 +11,12 @@ sqrt(weight) (which minimizes network peak age):
   practice, lower average age.  Solved by projected subgradient descent
   with one step rule, a level-tracking Polyak step: the subgradient of
   the spectral norm is the outer product of the top singular pair, and
-  feasibility is restored after every step by Dykstra alternating
-  projections between the affine constraint set and the nonnegative cone.
+  feasibility is restored after every step by Dykstra's projection between
+  the affine constraint set and the nonnegative cone, which keeps one
+  iterate s with x = max(s, 0) (the cone's correction is min(s, 0)).  It
+  starts afresh at each step's point: a carried correction would move its
+  fixed point, and a carried dual multiplier, though valid, took more
+  sweeps (19.3 against 18.1 per iteration on geometric-50).
   The top pair comes from a block of right Ritz vectors carried from one
   iteration to the next.  When one Rayleigh-Ritz step leaves its residual
   above tolerance, a degree-6 Chebyshev filter in D^T D (D = P - Pi*)
@@ -93,6 +97,7 @@ def build_mh(g: MobilityGraph) -> DesignResult:
     np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
     # exact row normalization guards against accumulated rounding
     p /= p.sum(axis=1, keepdims=True)
+    p.flags.writeable = False  # so TransitionMatrix adopts it without a copy
     matrix = TransitionMatrix(p)
     return DesignResult(
         matrix=matrix,
@@ -117,7 +122,6 @@ class _FeasibleSet:
         self.n = n
         self.rows = np.array([i for i, _ in pairs], dtype=int)
         self.cols = np.array([j for _, j in pairs], dtype=int)
-        self.pi = pi
         self.pi_rows = pi[self.rows]
         d1 = np.bincount(self.rows, minlength=n).astype(float)
         d2 = np.bincount(self.cols, weights=self.pi_rows ** 2, minlength=n)
@@ -136,7 +140,7 @@ class _FeasibleSet:
         return p
 
     def gather(self, p: np.ndarray) -> np.ndarray:
-        return p[self.rows, self.cols].copy()
+        return p[self.rows, self.cols]
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         """Row sums, then column balances sum_i pi*_i x_ij, of the support values x."""
@@ -145,26 +149,24 @@ class _FeasibleSet:
         np.multiply(self.pi_rows, x, out=self.bin_weights[m:])
         return np.bincount(self.bins, weights=self.bin_weights, minlength=2 * self.n)
 
-    def project_affine(self, x: np.ndarray, gap: np.ndarray) -> np.ndarray:
-        """Project x onto the affine set, given gap = constraint_values(x) - b."""
+    def project_affine(self, s: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """s minus the affine step for gap: s's projection if gap = constraint_values(s) - b."""
         lam = self.m_pinv @ gap
         step = lam.take(self.rows)
-        col_part = lam.take(self.bins[len(x):])
+        col_part = lam.take(self.bins[len(s):])
         col_part *= self.pi_rows
         step += col_part
-        return np.subtract(x, step, out=step)
+        return np.subtract(s, step, out=step)
 
     def dykstra(self, x: np.ndarray, tol: float) -> np.ndarray:
-        # one constraint evaluation per sweep: the gap of the sweep's result
-        # serves both its residual test and the next sweep's projection
-        correction = np.zeros_like(x)
+        # s holds both x = max(s, 0) and Dykstra's cone correction min(s, 0); the
+        # gap of each sweep's x serves both its residual test and the next step
+        s = x
         gap = self.constraint_values(x)
         gap -= self.b
         for _ in range(_DYKSTRA_MAX_SWEEPS):
-            shifted = self.project_affine(x, gap)
-            shifted += correction
-            x = np.maximum(shifted, 0.0)
-            np.subtract(shifted, x, out=correction)
+            s = self.project_affine(s, gap)
+            x = np.maximum(s, 0.0)
             gap = self.constraint_values(x)
             gap -= self.b
             if np.abs(gap).max() <= tol:
@@ -246,23 +248,22 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
 
     x = feas.gather(mh.matrix.p)
     f_mh = design_objective(mh.matrix.p, pi)
-    best_x = x.copy()
+    best_x = x  # no iterate is changed in place, so no copy is kept
     best_f = f_mh
     best_hist = np.full(opts.max_iterations + 1, f_mh)
 
     delta = max(_LEVEL_FRACTION * f_mh, 1e-9)
     best_at_checkpoint = best_f
     converged = False
-    iterations = 0
+    t = 0  # the iteration count once the loop ends
 
     for t in range(1, opts.max_iterations + 1):
-        iterations = t
         deviation[:] = -pi
         deviation[feas.rows, feas.cols] = x - pi_cols
         u1, v1, f = top_pair(deviation)
         if f < best_f:
             best_f = f
-            best_x = x.copy()
+            best_x = x
         best_hist[t] = best_f
         if t > _PATIENCE and best_hist[t - _PATIENCE] - best_f < _IMPROVEMENT_TOL:
             converged = True
@@ -279,30 +280,28 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
             best_at_checkpoint = best_f
         x = feas.dykstra(x - step * grad, _DYKSTRA_TOL)
 
-    x = feas.dykstra(best_x, 1e-10)  # the returned design is projected more tightly
-    p = feas.scatter(np.maximum(x, 0.0))
+    # the returned design is projected more tightly; the projection is nonnegative
+    p = feas.scatter(feas.dykstra(best_x, 1e-10))
     p /= p.sum(axis=1, keepdims=True)
-
-    if not check_irreducible(TransitionMatrix(p)):
+    p.flags.writeable = False
+    matrix = TransitionMatrix(p)  # adopted, and reused by the irreducibility check
+    if not check_irreducible(matrix):
         # convex blend with the feasible Metropolis chain restores irreducibility
-        p = (1.0 - _BLEND_EPSILON) * p + _BLEND_EPSILON * mh.matrix.p
+        matrix = TransitionMatrix((1.0 - _BLEND_EPSILON) * p + _BLEND_EPSILON * mh.matrix.p)
 
-    objective = design_objective(p, pi)
+    objective = design_objective(matrix.p, pi)
     if objective > f_mh:
-        p = mh.matrix.p.copy()
-        objective = f_mh
+        matrix, objective = mh.matrix, f_mh
 
-    matrix = TransitionMatrix(p)
     residuals = _design_residuals(matrix, pi, matrix.support_violations(g))
-    worst = max(residuals["row_stochastic"], residuals["stationary"],
-                residuals["nonnegative"], residuals["support"])
+    worst = max(residuals.values())
     if worst > TOL.feasibility:
         raise SolverError(f"solver returned infeasible design (worst residual {worst:.3e})")
     return DesignResult(
         matrix=matrix,
         target_pi=pi,
         objective=objective,
-        iterations=iterations,
+        iterations=t,
         converged=converged,
         residuals=residuals,
     )

@@ -36,16 +36,26 @@ def peak_arrays(fn) -> float:
 
 
 @pytest.fixture(scope="module")
-def chain():
+def graph():
     generate_random_geometric(50, 0.5, seed=0)  # one-time lazy set-up, not counted
-    g = assign_weights(generate_random_geometric(N, RADIUS, seed=1), "random_interval", seed=2)
-    design = build_mh(g)
+    return assign_weights(generate_random_geometric(N, RADIUS, seed=1), "random_interval", seed=2)
+
+
+@pytest.fixture(scope="module")
+def chain(graph):
+    design = build_mh(graph)
     return design, analyze(design.matrix)
 
 
 def test_geometric_generation_holds_two_distance_arrays(chain):
     # seed 1 resamples twice, so the count includes a discarded attempt's edges
     assert peak_arrays(lambda: generate_random_geometric(N, RADIUS, seed=1)) <= 3.0
+
+
+def test_build_mh_holds_one_matrix(graph, chain):
+    # the chain adopts the read-only array build_mh filled instead of copying it
+    # (the fixture's first call builds the graph's cached edge index)
+    assert peak_arrays(lambda: build_mh(graph)) <= 1.5
 
 
 def test_analyze_peak(chain):

@@ -11,8 +11,9 @@ from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy,
                         TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
                         berg1_vacation_system_time, build_fastest_mixing, dissemination,
                         dissemination_report, generate_random_geometric, optimal_utilization,
-                        policy_from_design, separation_policy, simulate_berg1_vacation,
-                        simulate_dissemination, simulation, terminal_age_upper_bound)
+                        policy_from_design, return_time_moments, separation_policy,
+                        simulate_berg1_vacation, simulate_dissemination, simulation,
+                        terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
 from age_patrol.trajectory_design import build_mh
 from conftest import make_complete
@@ -49,6 +50,19 @@ def test_queue_params_reject_instability():
 def test_queue_params_reject_bad_moments():
     with pytest.raises(ValueError):
         QueueModelParams(0.2, 2.0, 1.0, 2.0, 4.0)  # E[S^2] < E[S]^2
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_queue_params_accept_a_cycles_return_time_moments(n):
+    # the return time is n exactly; rounding in Z puts E[T^2] - E[T]^2 a few ulps
+    # of n^2 below 0, which an absolute 1e-12 tolerance rejected
+    cycle = TransitionMatrix(np.roll(np.eye(n), 1, axis=1))
+    analysis = analyze(cycle, pi=np.full(n, 1 / n))
+    for i in range(n):
+        m = return_time_moments(analysis, i)
+        assert m[0] == pytest.approx(n) and m[1] == pytest.approx(n * n)
+        params = QueueModelParams(0.5 / n, *m, *m)
+        assert params.rho == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("moments", [

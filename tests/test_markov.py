@@ -37,6 +37,23 @@ def test_transition_matrix_rejects_bad_row_sum():
         TransitionMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
 
 
+def test_transition_matrix_adopts_only_a_read_only_array_that_owns_its_data():
+    p = np.full((3, 3), 1 / 3)
+    assert TransitionMatrix(p).p is not p and p.flags.writeable
+    p.flags.writeable = False
+    assert TransitionMatrix(p).p is p
+    # a read-only view shares a writable base, and a transposed array is not C-contiguous
+    base = np.full((2, 3, 3), 1 / 3)
+    for other in (base[0], np.array(p).T):
+        other.flags.writeable = False
+        assert TransitionMatrix(other).p is not other
+    # an adopted array is still validated
+    bad = np.array([[0.6, 0.6], [0.5, 0.5]])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="sum to 1"):
+        TransitionMatrix(bad)
+
+
 def test_irreducibility_identity_false():
     assert not check_irreducible(TransitionMatrix(np.eye(3)))
 

@@ -6,8 +6,8 @@ from age_patrol import (SolverOptions, SolverError, TOL, TransitionMatrix, assig
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
                         stationary_distribution, target_distribution, validate_design)
 from age_patrol import trajectory_design
-from age_patrol.trajectory_design import (_DYKSTRA_MAX_SWEEPS, _RITZ_RTOL, _FeasibleSet,
-                                          _TopSingularPair)
+from age_patrol.trajectory_design import (_DYKSTRA_MAX_SWEEPS, _LEVEL_FRACTION, _RITZ_RTOL,
+                                          _FeasibleSet, _TopSingularPair)
 from conftest import make_complete, make_star
 
 
@@ -245,12 +245,36 @@ def test_dykstra_matches_two_evaluation_reference(g):
     feas = _FeasibleSet(g, mh.target_pi)
     x0 = feas.gather(mh.matrix.p)
     rng = np.random.default_rng(9)
-    for scale in (1e-3, 1e-2, 1e-1):
-        x = x0 - scale * rng.standard_normal(x0.shape)
+    points = [x0 - scale * rng.standard_normal(x0.shape) for scale in (1e-3, 1e-2, 1e-1)]
+    # the solver's first step: a Polyak step along the subgradient of the top pair
+    u1, v1, f = _TopSingularPair()(mh.matrix.p - mh.target_pi)
+    grad = u1[feas.rows] * v1[feas.cols]
+    points.append(x0 - min(_LEVEL_FRACTION * f / float(grad @ grad), 100.0) * grad)
+    assert points[-1].min() < 0  # the step leaves the cone, so the projection has work
+    for x in points:
         for tol in (1e-9, 1e-10):
             got = feas.dykstra(x, tol)
             want = _reference_dykstra(feas, x, tol, _DYKSTRA_MAX_SWEEPS)
             assert np.array_equal(got, want)
+
+
+def test_dykstra_exits_after_its_last_sweep(monkeypatch):
+    g = assign_weights(generate_grid_diag(5), "random_interval", seed=6)
+    mh = build_mh(g)
+    feas = _FeasibleSet(g, mh.target_pi)
+    x0 = feas.gather(mh.matrix.p)
+    rng = np.random.default_rng(10)
+    monkeypatch.setattr(trajectory_design, "_DYKSTRA_MAX_SWEEPS", 2)
+    # tol = 0 is never met, so both exits follow the last sweep: a gap within
+    # TOL.feasibility returns the iterate ...
+    near = x0 - 1e-9 * rng.standard_normal(x0.shape)
+    x = feas.dykstra(near, 0.0)
+    assert 0.0 < np.abs(feas.constraint_values(x) - feas.b).max() <= TOL.feasibility
+    assert np.array_equal(x, _reference_dykstra(feas, near, 0.0, 2))
+    # ... and a wider one raises
+    far = x0 - 1e-1 * rng.standard_normal(x0.shape)
+    with pytest.raises(SolverError, match="after 2 sweeps"):
+        feas.dykstra(far, 0.0)
 
 
 def _top_pair_residual(d, u1, v1, s1):
