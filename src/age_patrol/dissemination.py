@@ -40,9 +40,9 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
-from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, analyze, return_time_moments
-from .simulation import (AgeStats, _AgeEngine, _check_window, _groups, _inverse_cdf,
-                         _row_samplers, _walk)
+from .markov import (ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze,
+                     return_time_moments)
+from .simulation import AgeStats, _AgeEngine, _check_window, _groups, _walk
 from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
@@ -348,7 +348,7 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]
     queues = _Queues(arrivals, horizon)
     engine = _AgeEngine(n, horizon, burn_in)
-    walk = _walk(_row_samplers(policy.matrix.p), start, rng, horizon)
+    walk = _walk(policy.matrix, start, rng, horizon)
     log = []
     check = 1 << 14   # the backlog is checked at every multiple of this slot
     warned = False

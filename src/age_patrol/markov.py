@@ -29,12 +29,16 @@ breadth-first search behind it (`bfs_distances`, `strongly_connected`)
 lives here too and serves the graph checks and the brute-force search.
 `JsonRecord` is the one JSON codec of the package's records, graphs
 included, and `read_json`/`write_json` its one file reader and writer.
+`_inverse_cdf` is the one inverse-CDF sampling table, of walk rows and
+queue laws alike; a `TransitionMatrix` keeps its rows' tables, with a guide
+table per row, for every walk of the chain.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from array import array
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -48,6 +52,43 @@ from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 # largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
 _SYMMETRIC_SPECTRUM_TOL = 1e-10
+# buckets of a row's guide table; a power of two, so int(u * _GUIDE_BUCKETS) is exact
+_GUIDE_BUCKETS = 256
+
+
+def _inverse_cdf(probs, values) -> tuple:
+    """The (cumulative probabilities, values) table of an inverse-CDF draw.
+
+    A draw is `vals[bisect_right(cum, u)]`: the values carry their last one
+    twice, so a uniform at or past the last cumulative probability (which
+    rounding may leave just below 1) draws the last value.
+    """
+    return np.cumsum(probs).tolist(), list(values) + [values[-1]]
+
+
+def _sampling_tables(p: np.ndarray) -> tuple:
+    """(rows, guides) of a walk on p: each row's `_inverse_cdf` table and guide table.
+
+    A row's table covers its nonzero entries.  Its guide table (indexed
+    search; Chen and Asau, 1974) holds one entry per bucket k of the
+    uniforms u with int(u * _GUIDE_BUCKETS) = k, in a C int array (half the
+    memory of a list).  The draw is nondecreasing in u, so where the draws
+    at both ends of a bucket agree, the entry is that draw for every u in
+    the bucket; elsewhere it is -1, and the walk searches the row's table
+    with `bisect_right`.
+    """
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    rows, guides = [], []
+    for row in p:
+        nz = np.flatnonzero(row)
+        cum, vals = _inverse_cdf(row[nz], nz.tolist())
+        draws = np.array(vals)
+        # the draws at u = k/B and at the largest u below (k+1)/B
+        first = draws[np.searchsorted(cum, edges[:-1], side="right")]
+        last = draws[np.searchsorted(cum, edges[1:], side="left")]
+        guides.append(array("i", np.where(first == last, first, -1).tolist()))
+        rows.append((cum, vals))
+    return rows, guides
 
 
 @dataclass(frozen=True)
@@ -81,6 +122,11 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    @cached_property
+    def samplers(self) -> tuple:
+        """`_sampling_tables` of the rows, built on first read and kept with the matrix."""
+        return _sampling_tables(self.p)
 
     def support_violations(self, graph) -> list:
         """Off-diagonal positive entries that are not edges of the graph, in row-major order."""
@@ -192,7 +238,10 @@ def _decode(cls, f, hint, value):
         return array.tolist()
     if kind is frozenset:
         return frozenset(map(tuple, array.tolist()))
-    return TransitionMatrix(array) if kind is TransitionMatrix else array
+    if kind is TransitionMatrix:
+        array.flags.writeable = False  # so the matrix adopts it instead of copying
+        return TransitionMatrix(array)
+    return array
 
 
 @dataclass(frozen=True)

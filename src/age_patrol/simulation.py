@@ -10,13 +10,18 @@ dissemination and the vacation queue deliver queued packets with G <= t.
 
 Every simulator walks first and counts after.  A tight sequential loop
 produces only the agent's positions, one chunk of `_WALK_BUFFER` slots at a
-time; a random walk draws the chunk's uniforms with one call and spends one
-inverse-CDF lookup per slot.  `_AgeEngine` then takes the chunk's
-deliveries as arrays (terminal, slot, generated), adds the closed-form,
-window-clipped sum of every ramp they close with numpy, and folds the chunk
-into per-terminal carries (the last delivery slot and the generation slot
-of the update delivered then).  Memory therefore does not grow with the
-horizon, and the statistics are exactly those of a naive per-slot update.
+time, and looks each step up in a table.  A random walk draws the chunk's
+uniforms with one call and reads each step from its row's guide table of
+`markov._GUIDE_BUCKETS` buckets, searching the row's inverse-CDF table only
+in a bucket that a CDF boundary splits; the matrix builds these tables on
+first use and keeps them.  The age-based walk reads its score factor
+a*a + a from a table that doubles up to `_SCORE_TABLE_SIZE` entries.
+`_AgeEngine` then takes the chunk's deliveries as arrays (terminal, slot,
+generated), adds the closed-form, window-clipped sum of every ramp they
+close with numpy, and folds the chunk into per-terminal carries (the last
+delivery slot and the generation slot of the update delivered then).
+Memory therefore does not grow with the horizon, and the statistics are
+exactly those of a naive per-slot update.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ import numpy as np
 
 from .aoi_analysis import average_age_lower_bound
 from .graphs import MobilityGraph
-from .markov import JsonRecord, TransitionMatrix, bfs_distances
+from .markov import _GUIDE_BUCKETS, JsonRecord, TransitionMatrix, bfs_distances
 
 # longest horizon whose per-slot trace or event log a run may record
 TRACE_HORIZON_LIMIT = 100_000
 # slots per walk chunk, and uniforms per draw from the generator
 _WALK_BUFFER = 1 << 14
+# most entries of the age-based walk's score table, so its memory stays bounded
+_SCORE_TABLE_SIZE = 1 << 16
 # guard rails for the exhaustive periodic-trajectory search
 BRUTE_FORCE_MAX_TERMINALS = 8
 BRUTE_FORCE_MAX_PERIOD = 16
@@ -187,40 +194,31 @@ def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
     return burn_in
 
 
-def _inverse_cdf(probs, values) -> tuple:
-    """The (cumulative probabilities, values) table of an inverse-CDF draw.
-
-    A draw is `vals[bisect_right(cum, u)]`: the values carry their last one
-    twice, so a uniform at or past the last cumulative probability (which
-    rounding may leave just below 1) draws the last value.
-    """
-    return np.cumsum(probs).tolist(), list(values) + [values[-1]]
-
-
-def _row_samplers(p: np.ndarray) -> list:
-    samplers = []
-    for row in p:
-        nz = np.nonzero(row)[0]
-        samplers.append(_inverse_cdf(row[nz], nz.tolist()))
-    return samplers
-
-
-def _walk(samplers: list, cur: int, rng: np.random.Generator, horizon: int):
+def _walk(P: TransitionMatrix, cur: int, rng: np.random.Generator, horizon: int):
     """Yield (t0, positions): the agent's positions in slots t0..t0 + m, m <= _WALK_BUFFER.
 
     The walk starts at `cur` in slot 1 and moves once per slot by an
-    inverse-CDF draw from its row of `samplers`, `horizon` draws in all.
+    inverse-CDF draw from its row of P, `horizon` draws in all.  A uniform u
+    reads the next state from the row's guide table at bucket
+    int(u * _GUIDE_BUCKETS), and only a bucket with a CDF boundary inside it
+    searches the row's table, so every draw equals `bisect_right`'s (see
+    `markov._sampling_tables`; P keeps the tables for its next walk).
     Each chunk takes its uniforms from one `rng.random(_WALK_BUFFER)` call,
     so the walk uses the same stream of uniforms whatever the chunk size.
     A chunk's last position is the next chunk's first.
     """
-    dtype = _terminal_dtype(len(samplers))
+    rows, guides = P.samplers
+    dtype = _terminal_dtype(P.n)
     for t0 in range(1, horizon + 1, _WALK_BUFFER):
         positions = [cur]
         append = positions.append
-        for u in rng.random(_WALK_BUFFER)[:horizon + 1 - t0].tolist():
-            cum, vals = samplers[cur]
-            cur = vals[bisect_right(cum, u)]
+        us = rng.random(_WALK_BUFFER)[:horizon + 1 - t0]
+        for u, k in zip(us.tolist(), (us * _GUIDE_BUCKETS).astype(np.intp).tolist()):
+            nxt = guides[cur][k]
+            if nxt < 0:
+                cum, vals = rows[cur]
+                nxt = vals[bisect_right(cum, u)]
+            cur = nxt
             append(cur)
         yield t0, np.array(positions, dtype=dtype)
 
@@ -241,15 +239,22 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
     burn_in = _check_window(horizon, burn_in, trace=record_trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
-    walk = _walk(_row_samplers(P.p), start, np.random.default_rng(seed), horizon)
+    walk = _walk(P, start, np.random.default_rng(seed), horizon)
     return _gather(g, walk, horizon, burn_in, record_trace)
 
 
 def _age_based_walk(g: MobilityGraph, cur: int, horizon: int):
-    """`_walk`-style chunks of the greedy walk: argmax_j w_j (A_j^2 + A_j), lowest j on ties."""
-    nbrs = g.neighbors
+    """`_walk`-style chunks of the greedy walk: argmax_j w_j (A_j^2 + A_j), lowest j on ties.
+
+    A slot scores each neighbour j as w_j * tri[A_j] from a table tri[a] = a*a + a
+    of Python ints, so the score is the float direct arithmetic gives.  The
+    table doubles when a larger age occurs, up to _SCORE_TABLE_SIZE entries;
+    a slot with an older neighbour is scored by direct arithmetic.
+    """
     w = g.weights.tolist()
+    adj = [[(j, w[j]) for j in nbrs] for nbrs in g.neighbors]
     last = [0] * g.n   # slot of the last visit (0 = never)
+    tri = [0]
     dtype = _terminal_dtype(g.n)
     for t0 in range(1, horizon + 1, _WALK_BUFFER):
         positions = [cur]
@@ -258,12 +263,22 @@ def _age_based_walk(g: MobilityGraph, cur: int, horizon: int):
             last[cur] = t
             best_val = -1.0
             best_j = -1
-            for j in nbrs[cur]:
-                a = t - last[j]
-                val = w[j] * (a * a + a)
-                if val > best_val:
-                    best_val = val
-                    best_j = j
+            try:
+                for j, wj in adj[cur]:
+                    val = wj * tri[t - last[j]]
+                    if val > best_val:
+                        best_val = val
+                        best_j = j
+            except IndexError:   # an age past the table: score the slot directly
+                best_val = -1.0
+                for j, wj in adj[cur]:
+                    a = t - last[j]
+                    val = wj * (a * a + a)
+                    if val > best_val:
+                        best_val = val
+                        best_j = j
+                size = len(tri)
+                tri.extend(a * a + a for a in range(size, min(2 * size, _SCORE_TABLE_SIZE)))
             cur = best_j
             append(cur)
         yield t0, np.array(positions, dtype=dtype)

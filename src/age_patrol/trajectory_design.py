@@ -242,8 +242,10 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
     n = g.n
     feas = _FeasibleSet(g, pi)
     pi_cols = pi[feas.cols]
-    # P - Pi* for the current iterate: -pi*_j off the support, x - pi*_j on it
+    # P - Pi* for the current iterate: -pi*_j off the support, x - pi*_j on it; only
+    # the support changes between iterates, and the top pair never writes into it
     deviation = np.empty((n, n))
+    deviation[:] = -pi
     top_pair = _TopSingularPair()
 
     x = feas.gather(mh.matrix.p)
@@ -258,7 +260,6 @@ def build_fastest_mixing(g: MobilityGraph, opts: SolverOptions | None = None) ->
     t = 0  # the iteration count once the loop ends
 
     for t in range(1, opts.max_iterations + 1):
-        deviation[:] = -pi
         deviation[feas.rows, feas.cols] = x - pi_cols
         u1, v1, f = top_pair(deviation)
         if f < best_f:

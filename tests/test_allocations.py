@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from age_patrol import (analyze, assign_weights, build_mh, design_objective,
+from age_patrol import (DesignResult, analyze, assign_weights, build_mh, design_objective,
                         generate_random_geometric, generate_ring_k, simulate_age_based,
                         simulate_randomized)
 
@@ -56,6 +56,12 @@ def test_build_mh_holds_one_matrix(graph, chain):
     # the chain adopts the read-only array build_mh filled instead of copying it
     # (the fixture's first call builds the graph's cached edge index)
     assert peak_arrays(lambda: build_mh(graph)) <= 1.5
+
+
+def test_design_load_adopts_the_decoded_matrix(chain):
+    # the decoded array is read-only, so the chain adopts it instead of copying it
+    payload = chain[0].to_json()
+    assert peak_arrays(lambda: DesignResult.from_json(payload)) <= 1.2
 
 
 def test_analyze_peak(chain):

@@ -1,5 +1,6 @@
 import pickle
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from age_patrol import (DiscreteLaw, QueueBacklogWarning, TransitionMatrix, analytic_ages,
-                        analyze, average_age_lower_bound, brute_force_optimal_periodic,
-                        build_mh, dissemination, generate_grid_diag,
-                        generate_random_geometric, generate_ring_k, periodic_exact_ages,
+                        analyze, assign_weights, average_age_lower_bound,
+                        brute_force_optimal_periodic, build_mh, dissemination, generate_grid_diag,
+                        generate_random_geometric, generate_ring_k, markov, periodic_exact_ages,
                         separation_policy, simulate_age_based, simulate_berg1_vacation,
                         simulate_dissemination, simulate_periodic, simulate_randomized,
                         simulation)
@@ -351,3 +352,169 @@ def test_simulators_do_not_depend_on_the_chunk_size(monkeypatch):
     assert default["backlog"][1][0][1:3] == (QueueBacklogWarning, __file__)
     monkeypatch.setattr(simulation, "_WALK_BUFFER", 3)
     assert every_simulator(threshold=3) == default
+
+
+# Reference walkers: one plain per-slot bisect_right draw, and one plain
+# w_j (a*a + a) argmax, against the guide-table walk and the tabled score.
+
+def reference_random_walk(P, start, uniforms) -> np.ndarray:
+    """Positions in slots 1..len(uniforms) + 1, one bisect_right draw per slot."""
+    rows = []
+    for row in P.p:
+        nz = np.flatnonzero(row)
+        rows.append((np.cumsum(row[nz]).tolist(), nz.tolist() + [int(nz[-1])]))
+    cur = start
+    positions = [cur]
+    for u in uniforms:
+        cum, vals = rows[cur]
+        cur = vals[bisect_right(cum, u)]
+        positions.append(cur)
+    return np.array(positions)
+
+
+def reference_age_based_walk(g, start, horizon) -> np.ndarray:
+    """Positions in slots 1..horizon + 1, scoring w_j (a*a + a) in every slot, ties to lowest j."""
+    w = g.weights.tolist()
+    last = [0] * g.n
+    cur = start
+    positions = [cur]
+    for t in range(1, horizon + 1):
+        last[cur] = t
+        best_val, best_j = -1.0, -1
+        for j in g.neighbors[cur]:
+            a = t - last[j]
+            val = w[j] * (a * a + a)
+            if val > best_val:
+                best_val, best_j = val, j
+        cur = best_j
+        positions.append(cur)
+    return np.array(positions)
+
+
+def walked(chunks) -> np.ndarray:
+    """The positions of a walk given as `_walk` chunks, each slot once."""
+    chunks = [positions for _, positions in chunks]
+    return np.concatenate([chunks[0][:1]] + [positions[1:] for positions in chunks])
+
+
+def reference_stats(g, positions, horizon, burn_in):
+    return simulation._gather(g, [(1, positions)], horizon, burn_in, False)
+
+
+def same(a, b) -> bool:
+    """Bit-identical records (arrays and NaNs included)."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+def chain_from_rows(rows) -> TransitionMatrix:
+    """The chain with these rows (complete support graph assumed)."""
+    return TransitionMatrix(np.array(rows, dtype=float))
+
+
+# boundaries on k/256, a row whose cumulative sum rounds to 0.9999999999999999,
+# a row with a tiny last entry, and rows with zero entries
+EDGE_ROWS = [
+    [1 / 256, 127 / 256, 0.0, 64 / 256, 64 / 256, 0.0],
+    [0.0, 0.5, 0.25, 0.125, 0.0625, 0.0625],
+    [0.3, 0.3, 0.1, 0.1, 0.1, 0.1],
+    [0.3, 0.0, 0.0, 0.3, 0.4 - 1e-13, 1e-13],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+]
+
+
+def edge_uniforms(P) -> list:
+    """Uniforms on, and one ulp either side of, every bucket edge and CDF boundary of P."""
+    points = {k / 256 for k in range(256)}
+    for row in P.p:
+        points |= set(np.cumsum(row[row > 0]).tolist())
+    out = set()
+    for x in points:
+        out |= {x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)}
+    return sorted(u for u in out if 0.0 <= u < 1.0)
+
+
+def test_guide_tables_draw_what_bisect_draws_at_every_edge():
+    cums = [np.cumsum(row) for row in EDGE_ROWS]
+    assert np.array_equal(cums[0] * 256, [1, 128, 128, 192, 256, 256])
+    assert cums[2][-1] == np.nextafter(1.0, 0.0)
+    assert 255 / 256 < cums[3][-2] < cums[3][-1] == 1.0
+    P = chain_from_rows(EDGE_ROWS)
+    rows, guides = P.samplers
+    for i in range(P.n):
+        cum, vals = rows[i]
+        for u in edge_uniforms(P):
+            entry = guides[i][int(u * 256)]
+            assert entry < 0 or entry == vals[bisect_right(cum, u)], (i, u)
+    # a bucket is searched only where it holds a boundary between two values
+    assert [guide.count(-1) for guide in guides] == [0, 0, 5, 3, 0, 0]
+    assert list(guides[4]) == [5] * 256 and list(guides[5]) == [0] * 256
+
+
+class ScriptedUniforms:
+    """A generator stand-in whose `random(size)` hands out a fixed stream."""
+
+    def __init__(self, uniforms):
+        self.stream = np.asarray(uniforms, dtype=float)
+
+    def random(self, size):
+        out, self.stream = self.stream[:size], self.stream[size:]
+        return np.concatenate([out, np.zeros(size - len(out))])
+
+
+def test_walk_on_edge_uniforms_matches_the_reference():
+    P = chain_from_rows(EDGE_ROWS)
+    uniforms = np.random.default_rng(0).permutation(edge_uniforms(P) * 20)
+    for start in range(P.n):
+        got = walked(simulation._walk(P, start, ScriptedUniforms(uniforms), len(uniforms)))
+        assert np.array_equal(got, reference_random_walk(P, start, uniforms.tolist()))
+
+
+@pytest.mark.parametrize("n, horizon", [(6, 40_000), (40, 1), (40, 16_385), (300, 40_000)])
+def test_randomized_walk_matches_the_reference(n, horizon):
+    g = random_connected_graph(n, seed=n) if n != 6 else make_complete(6)
+    P = random_chain(g, seed=n + 1, hold=n != 40) if n != 6 else chain_from_rows(EDGE_ROWS)
+    burn_in = horizon // 3
+    stats, trace = simulate_randomized(g, P, horizon, burn_in, seed=7, start=n - 1,
+                                       record_trace=True)
+    expected = reference_random_walk(P, n - 1, np.random.default_rng(7).random(horizon).tolist())
+    got = walked(simulation._walk(P, n - 1, np.random.default_rng(7), horizon))
+    assert got.dtype == (np.uint16 if n > 256 else np.uint8)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(trace.visit_log, expected[:-1])
+    assert same(stats, reference_stats(g, expected, horizon, burn_in))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 5, 64])
+def test_age_based_walk_matches_the_reference(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(simulation, "_SCORE_TABLE_SIZE", cap)
+    weighted = assign_weights(random_connected_graph(300, seed=3), "random_interval", seed=4)
+    # unit weights on a grid and a tree give ties, which go to the lowest index
+    for g, horizon in [(generate_grid_diag(5), 20_000), (make_fig_tree(), 16_385),
+                       (weighted, 40_000)]:
+        burn_in = horizon // 4
+        expected = reference_age_based_walk(g, 2, horizon)
+        stats, trace = simulate_age_based(g, horizon, burn_in, start=2, record_trace=True)
+        assert np.array_equal(walked(simulation._age_based_walk(g, 2, horizon)), expected)
+        assert np.array_equal(trace.visit_log, expected[:-1])
+        assert same(stats, reference_stats(g, expected, horizon, burn_in))
+
+
+def test_walk_tables_are_built_once_per_matrix(monkeypatch):
+    builds = []
+    build = markov._sampling_tables
+    monkeypatch.setattr(markov, "_sampling_tables", lambda p: builds.append(p) or build(p))
+    g = random_connected_graph(8, seed=5)
+    P = random_chain(g, seed=6)
+    first = simulate_randomized(g, P, 5000, seed=1)
+    assert same(simulate_randomized(g, P, 5000, seed=1), first)
+    assert len(builds) == 1
+    policy = dissemination.policy_from_design(build_mh(g), rates=np.full(8, 0.01))
+    assert same(simulate_dissemination(g, policy, 5000, seed=1),
+                simulate_dissemination(g, policy, 5000, seed=1))
+    assert len(builds) == 2
+    # an equal matrix is another chain object, with tables of its own
+    twin = TransitionMatrix(P.p.copy())
+    assert same(simulate_randomized(g, twin, 5000, seed=1), first)
+    assert len(builds) == 3 and twin.samplers is not P.samplers
