@@ -21,7 +21,7 @@ import numpy as np
 from .markov import ChainAnalysis, JsonRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgeReport(JsonRecord):
     per_terminal_peak: np.ndarray
     per_terminal_avg: np.ndarray

@@ -89,10 +89,11 @@ def main():
 
 
 def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("AGE_PATROL_JOBS", "1")))
-    except ValueError:
-        return 1
+    """The worker count in AGE_PATROL_JOBS (default 1); it must be an integer >= 1."""
+    value = os.environ.get("AGE_PATROL_JOBS", "1")
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise click.UsageError(f"AGE_PATROL_JOBS must be an integer >= 1, not {value!r}")
+    return int(value)
 
 
 def _parallel_map(fn, jobs, *iterables) -> list:
@@ -255,7 +256,7 @@ class ExperimentConfig(JsonRecord):
     sequence: list | None = field(default=None, metadata={"dtype": int})
     horizon: int = 50_000
     burn_in: int | None = None
-    replications: int = 1
+    replications: int | None = None  # None: one per seed, or 1 without seeds
     seeds: list | None = field(default=None, metadata={"dtype": int})
     start: int = 0
     rate_scale: float = 1.0
@@ -281,8 +282,13 @@ class ExperimentConfig(JsonRecord):
     def validate(self) -> None:
         if self.graph is None:
             raise click.UsageError("a graph (file path or inline spec) is required")
-        if self.replications < 1:
+        if self.replications is not None and self.replications < 1:
             raise click.UsageError("replications must be >= 1")
+        if None not in (self.replications, self.seeds) and self.replications != len(self.seeds):
+            raise click.UsageError(f"replications ({self.replications}) differs from the "
+                                   f"number of seeds ({len(self.seeds)})")
+        if self.jobs is not None and self.jobs < 1:
+            raise click.UsageError("jobs must be >= 1")
         if not self.seed_list():
             raise click.UsageError("the seed list is empty")
         if not (math.isfinite(self.rate_scale) and self.rate_scale > 0):
@@ -295,7 +301,7 @@ class ExperimentConfig(JsonRecord):
             raise click.UsageError("an output path is required (-o or config)")
 
     def seed_list(self) -> list:
-        return list(range(self.replications)) if self.seeds is None else self.seeds
+        return list(range(self.replications or 1)) if self.seeds is None else self.seeds
 
     def resolve_graph(self) -> MobilityGraph:
         return load_graph(self.graph) if isinstance(self.graph, str) else _family_graph(self.graph)
@@ -481,12 +487,12 @@ def _figure_rows(figure, points) -> list:
 @click.option("--base-seed", type=int, default=SWEEP_BASE_SEED)
 @click.option("--sizes", callback=_int_list, help="comma-separated size override for the sweep")
 @click.option("--solver-iterations", type=int, default=SWEEP_SOLVER_ITERATIONS)
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None)
 @_cli_errors
 def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations, jobs):
     """Sweep network size per graph family and emit one CSV per figure id."""
     figures = sorted(FIGURES) if figure == "all" else [figure]
-    jobs = jobs if jobs else _default_jobs()
+    jobs = jobs or _default_jobs()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

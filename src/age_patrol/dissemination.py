@@ -13,19 +13,25 @@ one uniform per slot.  The vacation-queue simulator then steps from one
 service or vacation end to the next, one uniform per duration.
 
 Analytics come from a discrete-time single-server queue with server
-vacations: arrivals Bernoulli(lambda), general service S, and the server
-taking i.i.d. vacations V whenever the queue empties.  Its exact peak
-age is
+vacations: arrivals Bernoulli(lambda), general service S, and i.i.d.
+vacations V whenever the queue empties.  Its exact peak age
+(`berg1_vacation_peak_age`, the tests' oracle for the bound below) is
 
     1/lambda + E[S] + (lambda E[S^2] - rho) / (2 (1 - rho))
              + E[V^2] / (2 E[V]) - 1/2,        rho = lambda E[S],
 
-and average age never exceeds peak age.  Substituting the walk's
-return-time moments for both S and V (`terminal_age_upper_bound` evaluates
-this formula) yields a per-terminal upper bound on dissemination age for
-any randomized trajectory, minimized at utilization
-rho_i = 1 / (1 + sqrt(z_ii - pi_i)) — the rate rule used by the
-separation policy on top of the fastest-mixing trajectory.
+and average age never exceeds it.  With the walk's return time T_i as
+both S and V, E[T_i] = 1/pi_i and E[T_i^2] = (2 z_ii - pi_i) / pi_i^2
+(Kemeny and Snell, Finite Markov Chains, ch. 4), it bounds terminal i's
+dissemination age at lambda_i = rho_i pi_i for any randomized trajectory:
+
+    (1/rho_i + 1 + (z_ii - pi_i) / (1 - rho_i)) / pi_i
+
+(`terminal_age_upper_bound`), with z_ii - pi_i clamped to Var T_i >= 0,
+that is to >= (1 - pi_i) / 2, as rounding in Z can put a deterministic
+return time's variance ulps below 0.  The bound is minimized at
+rho_i = 1 / (1 + sqrt(z_ii - pi_i)), the rate rule of the separation
+policy on top of the fastest-mixing trajectory.
 """
 
 from __future__ import annotations
@@ -33,15 +39,14 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
-from .markov import (ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze,
-                     return_time_moments)
+from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze
 from .simulation import AgeStats, _AgeEngine, _check_window, _groups, _walk
 from .trajectory_design import DesignResult, build_fastest_mixing
 
@@ -227,39 +232,41 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     )
 
 
-def terminal_age_upper_bound(analysis: ChainAnalysis, i: int, rho_i: float) -> float:
-    """Dissemination age bound for terminal i at queue utilization rho_i."""
-    if not 0 < rho_i < 1:
+def terminal_age_upper_bound(analysis: ChainAnalysis, i, rho_i):
+    """Dissemination age bound of terminal i (an index or an index array) at utilization rho_i."""
+    rho_i = np.asarray(rho_i, dtype=float)
+    # written so that a NaN utilization fails it
+    if not np.all((rho_i > 0) & (rho_i < 1)):
         raise ValueError("rho_i must lie in (0, 1)")
-    # the vacation queue with the walk's return time as both service and vacation;
-    # for a deterministic return time (a cycle), rounding in Z can leave the second
-    # moment ulps below the squared mean; the clamp keeps the bound at its closed form
-    mean, second = return_time_moments(analysis, i)
-    m = (mean, max(second, mean ** 2))
-    return berg1_vacation_peak_age(QueueModelParams(rho_i * float(analysis.pi[i]), *m, *m))
+    pi_i = analysis.pi[i]
+    # z_ii - pi_i = (pi_i^2 Var T_i + 1 - pi_i) / 2, clamped to Var T_i >= 0
+    slack = np.maximum(analysis.z_diag[i] - pi_i, (1.0 - pi_i) / 2.0)
+    return (1.0 / rho_i + 1.0 + slack / (1.0 - rho_i)) / pi_i
 
 
-def optimal_utilization(z_ii: float, pi_i: float) -> float:
-    """Utilization minimizing the per-terminal dissemination bound."""
-    return 1.0 / (1.0 + math.sqrt(max(z_ii - pi_i, 0.0)))
+def optimal_utilization(z_ii, pi_i):
+    """Utilization minimizing the per-terminal dissemination bound (scalars or arrays)."""
+    return 1.0 / (1.0 + np.sqrt(np.maximum(z_ii - pi_i, 0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisseminationPolicy(JsonRecord):
     """A trajectory plus per-terminal update generation rates."""
 
     matrix: TransitionMatrix
     target_pi: np.ndarray
     rates: np.ndarray
-    rho: np.ndarray
     upper_bounds: np.ndarray
-    z_diag: np.ndarray
     discrepancy: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @property
+    def rho(self) -> np.ndarray:
+        """Queue utilizations lambda_i / pi_i."""
+        return self.rates / self.target_pi
 
     def validate(self) -> None:
         # written so that a NaN rate fails
@@ -273,31 +280,18 @@ def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     """Attach rates to an existing trajectory design (default: optimal rates)."""
     analysis = analyze(design.matrix, pi=design.target_pi)
     pi = analysis.pi
-    z = analysis.z_diag
-    slack = z - pi
+    slack = analysis.z_diag - pi
     if slack.min() < -1e-10:
         raise NumericalError(
             f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")
-    if rates is None:
-        rho = np.array([optimal_utilization(z[i], pi[i]) for i in range(len(pi))])
-        rates = pi * rho
-    else:
-        rates = np.asarray(rates, dtype=float)
-        rho = rates / pi
-    bounds = np.array([
-        terminal_age_upper_bound(analysis, i, rho[i]) if 0 < rho[i] < 1 else math.inf
-        for i in range(len(pi))
-    ])
-    return DisseminationPolicy(
-        matrix=design.matrix,
-        target_pi=pi,
-        rates=rates,
-        rho=rho,
-        upper_bounds=bounds,
-        z_diag=z,
-        discrepancy=analysis.discrepancy,
-        meta={"converged": design.converged, "objective": design.objective},
-    )
+    rates = (pi * optimal_utilization(analysis.z_diag, pi) if rates is None
+             else np.asarray(rates, dtype=float))
+    rho = rates / pi
+    stable = np.flatnonzero((rho > 0) & (rho < 1))
+    bounds = np.full(len(pi), math.inf)
+    bounds[stable] = terminal_age_upper_bound(analysis, stable, rho[stable])
+    return DisseminationPolicy(matrix=design.matrix, target_pi=pi, rates=rates,
+                               upper_bounds=bounds, discrepancy=analysis.discrepancy)
 
 
 def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> DisseminationPolicy:
@@ -336,9 +330,10 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     n = g.n
     if policy.matrix.n != n or len(policy.rates) != n:
         raise ValueError("policy dimension does not match the graph")
+    if policy.matrix.support_violations(g):
+        raise ValueError("matrix places probability on non-edges of the graph")
     # written so that a NaN rate or utilization fails
-    if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1)
-            and np.all(policy.rho < 1)):
+    if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1) and np.all(policy.rho < 1)):
         raise StabilityError("need 0 <= lambda_i <= 1 and rho_i < 1 for every terminal")
     burn_in = _check_window(horizon, burn_in, trace=record_events)
     if not 0 <= start < n:
@@ -443,31 +438,17 @@ def dissemination_report(policy: DisseminationPolicy, stats: AgeStats, weights) 
     margin).  The mixing-time shapes are reported with discrepancy/4 as a
     stand-in proxy and carry no pass/fail.
     """
-    w = np.asarray(weights, dtype=float)
-    per_terminal = []
-    peak_ok = True
-    avg_ok = True
-    for i in range(policy.n):
-        emp_peak = float(stats.per_terminal_peak[i])
-        emp_avg = float(stats.per_terminal_avg[i])
-        bound = float(policy.upper_bounds[i])
-        ok_peak = bool(emp_peak <= bound * _MARGIN)
-        ok_avg = bool(emp_avg <= emp_peak * _MARGIN)
-        peak_ok &= ok_peak
-        avg_ok &= ok_avg
-        per_terminal.append({
-            "terminal": i,
-            "rate": float(policy.rates[i]),
-            "rho": float(policy.rho[i]),
-            "empirical_peak": emp_peak,
-            "upper_bound": bound,
-            "peak_within_bound": ok_peak,
-            "empirical_avg": emp_avg,
-            "avg_within_peak": ok_avg,
-        })
-    gathering_opt_peak = float(np.sum(w / policy.target_pi))
+    peak, avg = stats.per_terminal_peak, stats.per_terminal_avg
+    peak_ok = peak <= policy.upper_bounds * _MARGIN
+    avg_ok = avg <= peak * _MARGIN
+    columns = {"rate": policy.rates, "rho": policy.rho, "empirical_peak": peak,
+               "upper_bound": policy.upper_bounds, "peak_within_bound": peak_ok,
+               "empirical_avg": avg, "avg_within_peak": avg_ok}
+    per_terminal = [{"terminal": i, **dict(zip(columns, row))} for i, row in
+                    enumerate(zip(*(c.tolist() for c in columns.values())))]
+    gathering_opt_peak = float(np.sum(np.asarray(weights, dtype=float) / policy.target_pi))
     h_proxy = policy.discrepancy / 4.0
-    report = {
+    return {
         "per_terminal": per_terminal,
         "network": {
             "empirical_peak": stats.network_peak,
@@ -484,9 +465,8 @@ def dissemination_report(policy: DisseminationPolicy, stats: AgeStats, weights) 
             "avg_bound_shape": 8.0 * h_proxy + 8.0 * math.sqrt(h_proxy) + 4.0,
         },
         "hard_checks": {
-            "peak_bounds_pass": bool(peak_ok),
-            "avg_within_peak_pass": bool(avg_ok),
+            "peak_bounds_pass": bool(peak_ok.all()),
+            "avg_within_peak_pass": bool(avg_ok.all()),
             "margin": _MARGIN,
         },
     }
-    return report

@@ -26,7 +26,7 @@ from .markov import JsonRecord, read_json, strongly_connected, write_json
 MAX_GEOMETRIC_ATTEMPTS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobilityGraph(JsonRecord):
     n: int
     edges: frozenset = field(metadata={"dtype": int, "shape": (None, 2)})

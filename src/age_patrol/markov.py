@@ -91,7 +91,7 @@ def _sampling_tables(p: np.ndarray) -> tuple:
     return rows, guides
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic matrix; entries must be finite and nonnegative (no tolerance).
 
@@ -244,7 +244,7 @@ def _decode(cls, f, hint, value):
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainAnalysis:
     """Derived quantities of one irreducible chain (immutable)."""
 

@@ -46,7 +46,7 @@ BRUTE_FORCE_MAX_TERMINALS = 8
 BRUTE_FORCE_MAX_PERIOD = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgeStats(JsonRecord):
     per_terminal_peak: np.ndarray   # mean age at visit slots (NaN if never visited)
     per_terminal_avg: np.ndarray    # time-averaged age over the window
@@ -64,7 +64,7 @@ class AgeStats(JsonRecord):
         return self.n_peaks / (self.horizon - self.burn_in)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgeTrace:
     horizon: int
     ages: np.ndarray       # ages[t-1, i] = A_i(t)
@@ -315,7 +315,7 @@ def _check_sequence(g: MobilityGraph, sequence) -> list:
     return seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicAges:
     """Exact long-run ages of a periodic trajectory (no simulation noise)."""
 

@@ -37,7 +37,7 @@ from .graphs import MobilityGraph
 from .markov import JsonRecord, TransitionMatrix, check_irreducible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignResult(JsonRecord):
     matrix: TransitionMatrix
     target_pi: np.ndarray

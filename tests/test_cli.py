@@ -102,6 +102,55 @@ def test_simulate_replications_and_aggregate(runner, tmp_path):
     assert rows[-1]["peak_stderr"] != ""
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--replications", "10", "--seeds", "1,2"], {}),
+    (["--replications", "1"], {"seeds": [1, 2]}),
+    ([], {"replications": 3, "seeds": [1, 2]}),
+], ids=["flags", "flag-over-config", "config"])
+def test_replications_disagreeing_with_seeds_is_usage_error(runner, tmp_path, flags, config):
+    # the replication count used to be ignored whenever seeds were given
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "runs.csv"
+    result = runner.invoke(main, ["simulate", "--graph", str(graph_path), "--policy", "mh",
+                                  "--horizon", "500", "--config", str(cfg), "-o", str(out)]
+                           + flags)
+    assert result.exit_code == 2, result.output
+    assert "replications" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, env", [
+    ("simulate", ["--jobs", "-3"], None),
+    ("simulate", ["--jobs", "0"], None),
+    ("simulate", ["--config", "jobs0.json"], None),
+    ("simulate", [], "abc"),
+    ("simulate", [], "0"),
+    ("reproduce", ["--jobs", "0"], None),
+    ("reproduce", [], "-2"),
+], ids=["flag-negative", "flag-zero", "config-zero", "env-text", "env-zero",
+        "reproduce-flag-zero", "reproduce-env-negative"])
+def test_bad_job_count_is_usage_error(runner, tmp_path, monkeypatch, command, args, env):
+    # each of these used to run serially, or with the environment's default, and exit 0
+    if env is not None:
+        monkeypatch.setenv("AGE_PATROL_JOBS", env)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "jobs0.json").write_text(json.dumps({"jobs": 0}))
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", "g.json"])
+    if command == "simulate":
+        args = ["simulate", "--graph", "g.json", "--policy", "mh", "--horizon", "500",
+                "--seeds", "1,2", "-o", "runs.csv"] + args
+    else:
+        args = ["reproduce", "--figure", "fig4", "--out-dir", "sweep", "--sizes", "9",
+                "--horizon", "500", "--solver-iterations", "10"] + args
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "jobs" in result.output.lower()
+    assert not (tmp_path / "runs.csv").exists() and not (tmp_path / "sweep").exists()
+
+
 def test_simulate_age_based_default_horizon(runner, tmp_path):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "grid", "--side", "3", "-o", str(graph_path)])
@@ -295,6 +344,23 @@ def test_missing_graph_file_is_validation_error(runner, tmp_path):
     missing.write_text("{}")
     result = runner.invoke(main, ["design", "--graph", str(missing), "--method", "mh"])
     assert result.exit_code == 3
+
+
+def test_disseminate_rejects_a_design_of_another_graph(runner, tmp_path):
+    # a design built on ring-8 with k=2 used to be walked along the non-edges of k=1
+    for k in ("1", "2"):
+        invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", k,
+                        "-o", str(tmp_path / f"g{k}.json")])
+    design_path = tmp_path / "d2.json"
+    invoke(runner, ["design", "--graph", str(tmp_path / "g2.json"), "--method", "mh",
+                    "-o", str(design_path)])
+    out = tmp_path / "diss.csv"
+    result = runner.invoke(main, ["disseminate", "--graph", str(tmp_path / "g1.json"),
+                                  "--design", str(design_path), "--horizon", "1000",
+                                  "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION
+    assert "non-edges of the graph" in result.output
+    assert not out.exists()
 
 
 def test_disseminate_rejects_design_with_nan(runner, tmp_path):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from age_patrol import (DesignResult, DiscreteLaw, DisseminationPolicy,
+from age_patrol import (AgeStats, DesignResult, DiscreteLaw, DisseminationPolicy,
                         QueueBacklogWarning, QueueModelParams, StabilityError,
                         TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
                         berg1_vacation_system_time, build_fastest_mixing, dissemination,
-                        dissemination_report, generate_random_geometric, optimal_utilization,
-                        policy_from_design, return_time_moments, separation_policy,
-                        simulate_berg1_vacation, simulate_dissemination, simulation,
+                        dissemination_report, generate_grid_diag, generate_random_geometric,
+                        generate_ring_k, optimal_utilization, policy_from_design,
+                        return_time_moments, separation_policy, simulate_berg1_vacation,
+                        simulate_dissemination, simulate_randomized, simulation,
                         terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
 from age_patrol.trajectory_design import build_mh
@@ -352,6 +353,58 @@ def test_terminal_bound_on_a_long_cycle_matches_its_closed_form():
     assert np.all(np.isfinite(policy_from_design(cycle).upper_bounds))
 
 
+DESIGN_GRAPHS = {"geometric40": lambda: generate_random_geometric(40, 2.0 / math.sqrt(40), 1),
+                 "grid16": lambda: generate_grid_diag(4), "ring21": lambda: generate_ring_k(21, 3)}
+
+
+@pytest.fixture(scope="module", params=[(name, method) for name in DESIGN_GRAPHS
+                                        for method in ("mh", "fastest")], ids=str)
+def design_case(request):
+    name, method = request.param
+    g = DESIGN_GRAPHS[name]()
+    return build_mh(g) if method == "mh" else build_fastest_mixing(g)
+
+
+def test_policy_bounds_match_the_vacation_queue_oracle(design_case):
+    # the general vacation-queue formula on the return-time moments, terminal by terminal
+    analysis = analyze(design_case.matrix, pi=design_case.target_pi)
+    optimal = policy_from_design(design_case).rates
+    for scale in (0.5, 1.0, 1.3):
+        policy = policy_from_design(design_case, rates=optimal * scale)
+        stable = np.flatnonzero(policy.rho < 1)
+        assert len(stable)
+        for i in stable:
+            m = return_time_moments(analysis, i)
+            oracle = berg1_vacation_peak_age(QueueModelParams(policy.rates[i], *m, *m))
+            assert abs(policy.upper_bounds[i] / oracle - 1) <= 4e-15, (scale, i)
+
+
+def test_policy_rates_follow_the_scalar_rule(design_case):
+    # pi_i times the optimal utilization, as the rates were always computed; writing
+    # it pi_i / (1 + sqrt(...)) instead moves some rates by an ulp
+    analysis = analyze(design_case.matrix, pi=design_case.target_pi)
+    expected = [pi_i * (1.0 / (1.0 + math.sqrt(max(z_ii - pi_i, 0.0))))
+                for pi_i, z_ii in zip(analysis.pi.tolist(), analysis.z_diag.tolist())]
+    assert policy_from_design(design_case).rates.tolist() == expected
+
+
+def test_policy_bound_is_infinite_outside_the_stable_range():
+    policy = policy_from_design(swap_design(), rates=[0.5, 0.25])
+    assert policy.upper_bounds.tolist() == [math.inf, 7.0]  # the worked example
+    policy = policy_from_design(swap_design(), rates=[0.0, 0.6])
+    assert np.all(np.isinf(policy.upper_bounds))
+
+
+def test_terminal_bound_takes_an_index_array():
+    analysis = analyze(build_mh(generate_ring_k(9, 2)).matrix)
+    terminals, rho = np.array([0, 4, 8]), np.array([0.2, 0.5, 0.9])
+    bounds = terminal_age_upper_bound(analysis, terminals, rho)
+    assert bounds.tolist() == [terminal_age_upper_bound(analysis, i, r)
+                               for i, r in zip(terminals.tolist(), rho.tolist())]
+    with pytest.raises(ValueError):
+        terminal_age_upper_bound(analysis, terminals, np.array([0.2, math.nan, 0.9]))
+
+
 def test_terminal_bound_two_cycle(swap_matrix):
     analysis = analyze(swap_matrix)
     assert terminal_age_upper_bound(analysis, 0, 2.0 / 3.0) == pytest.approx(6.5, abs=1e-12)
@@ -405,11 +458,21 @@ def test_policy_json_round_trip():
     assert clone.discrepancy == policy.discrepancy
 
 
+def test_simulate_dissemination_rejects_a_matrix_off_the_graph():
+    # a design built on another graph of the same size used to walk along non-edges
+    g = generate_ring_k(8, 1)
+    uniform = TransitionMatrix(np.full((8, 8), 1 / 8))
+    policy = policy_from_design(DesignResult(uniform, np.full(8, 1 / 8), None, 0, True))
+    with pytest.raises(ValueError, match="non-edges of the graph"):
+        simulate_randomized(g, uniform, 1000)
+    with pytest.raises(ValueError, match="non-edges of the graph"):
+        simulate_dissemination(g, policy, 1000)
+
+
 def test_dissemination_zero_rates_ages_grow(k2, swap_matrix):
     policy = DisseminationPolicy(
         matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.zeros(2),
-        rho=np.zeros(2), upper_bounds=np.full(2, np.inf), z_diag=np.array([0.75, 0.75]),
-        discrepancy=0.5)
+        upper_bounds=np.full(2, np.inf), discrepancy=0.5)
     horizon = 10_000
     stats = simulate_dissemination(k2, policy, horizon, burn_in=0, seed=0)
     assert np.all(stats.n_peaks == 0)
@@ -417,27 +480,29 @@ def test_dissemination_zero_rates_ages_grow(k2, swap_matrix):
     assert np.allclose(stats.per_terminal_avg, (horizon + 1) / 2.0)
 
 
-def _policy_with_rates(swap_matrix, rates, rho):
+def _policy_with_rates(swap_matrix, rates, target_pi=(0.5, 0.5)):
     return DisseminationPolicy(
-        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.array(rates),
-        rho=np.array(rho), upper_bounds=np.full(2, 7.0), z_diag=np.array([0.75, 0.75]),
-        discrepancy=0.5)
+        matrix=swap_matrix, target_pi=np.array(target_pi), rates=np.array(rates),
+        upper_bounds=np.full(2, 7.0), discrepancy=0.5)
 
 
-# a NaN rate used to pass these checks and generate no packet at all
-@pytest.mark.parametrize("rates, rho", [
-    ([math.nan, 0.2], [0.5, 0.4]),
-    ([0.2, 0.2], [math.nan, 0.4]),
-    ([-0.1, 0.2], [0.5, 0.4]),
+# a NaN rate used to pass these checks and generate no packet at all; a NaN
+# target_pi makes the utilization rho = rates / target_pi NaN
+@pytest.mark.parametrize("rates, target_pi", [
+    ([math.nan, 0.2], [0.5, 0.5]),
+    ([0.2, 0.2], [math.nan, 0.5]),
+    ([-0.1, 0.2], [0.5, 0.5]),
 ], ids=["nan-rate", "nan-rho", "negative-rate"])
-def test_simulate_dissemination_rejects_nan_or_negative_rates(k2, swap_matrix, rates, rho):
+def test_simulate_dissemination_rejects_nan_or_negative_rates(k2, swap_matrix, rates,
+                                                              target_pi):
     with pytest.raises(StabilityError):
-        simulate_dissemination(k2, _policy_with_rates(swap_matrix, rates, rho), 1000, seed=0)
+        simulate_dissemination(k2, _policy_with_rates(swap_matrix, rates, target_pi), 1000,
+                               seed=0)
 
 
 def test_policy_validate_rejects_nan_rates(swap_matrix):
     with pytest.raises(StabilityError):
-        _policy_with_rates(swap_matrix, [math.nan, 0.2], [0.5, 0.4]).validate()
+        _policy_with_rates(swap_matrix, [math.nan, 0.2]).validate()
 
 
 def test_dissemination_peaks_within_bound_k2(k2):
@@ -491,9 +556,8 @@ def test_dissemination_backlog_warning(k2, swap_matrix, monkeypatch):
     # rates just below the visit rate plus a tiny warning threshold
     monkeypatch.setattr(dissemination, "QUEUE_WARNING_THRESHOLD", 40)
     policy = DisseminationPolicy(
-        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]),
-        rates=np.array([0.499, 0.499]), rho=np.array([0.998, 0.998]),
-        upper_bounds=np.full(2, np.inf), z_diag=np.array([0.75, 0.75]), discrepancy=0.5)
+        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.array([0.499, 0.499]),
+        upper_bounds=np.full(2, np.inf), discrepancy=0.5)
     with pytest.warns(QueueBacklogWarning):
         simulate_dissemination(k2, policy, 200_000, seed=1)
 
@@ -549,3 +613,27 @@ def test_dissemination_report_round_trip_and_checks(k2):
     clone = json.loads(json.dumps(report))
     assert clone == report
     assert report["mixing_proxy"]["h_proxy"] == pytest.approx(policy.discrepancy / 4.0)
+
+
+@pytest.mark.parametrize("peak_scale, avg_scale, last, passes", [
+    (0.9, 0.9, 0.8, (True, True)), (1.05, 0.9, 0.8, (False, True)),
+    (0.9, 1.05, 0.8, (True, False)), (0.9, 0.9, math.nan, (False, False)),
+], ids=["within", "peak-over", "avg-over", "unvisited"])
+def test_dissemination_report_matches_a_per_terminal_loop(peak_scale, avg_scale, last, passes):
+    # the per-terminal rows and hard checks, recomputed one terminal at a time
+    g = generate_ring_k(6, 1)
+    policy = policy_from_design(build_mh(g))
+    # terminal 2 is over its bound and its peak, but within the 2% margin
+    peak = policy.upper_bounds * np.array([0.5, 0.9, 1.01, 0.7, peak_scale, last])
+    avg = peak * np.array([0.5, avg_scale, 1.01, 0.9, 0.9, 1.0])
+    stats = AgeStats(peak, avg, np.ones(6, dtype=int), 1.0, 1.0, 100, 0)
+    report = dissemination_report(policy, stats, g.weights)
+    rows = [{"terminal": i, "rate": float(policy.rates[i]),
+             "rho": float(policy.rates[i] / policy.target_pi[i]),
+             "empirical_peak": float(peak[i]), "upper_bound": float(policy.upper_bounds[i]),
+             "peak_within_bound": bool(peak[i] <= policy.upper_bounds[i] * 1.02),
+             "empirical_avg": float(avg[i]), "avg_within_peak": bool(avg[i] <= peak[i] * 1.02)}
+            for i in range(6)]
+    np.testing.assert_equal(report["per_terminal"], rows)
+    assert (report["hard_checks"]["peak_bounds_pass"],
+            report["hard_checks"]["avg_within_peak_pass"]) == passes
