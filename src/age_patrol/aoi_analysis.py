@@ -31,10 +31,6 @@ class AgeReport(JsonRecord):
     upper_bound_avg: float
     peak_opt_value: float
 
-    @property
-    def n(self) -> int:
-        return len(self.per_terminal_peak)
-
 
 def peak_optimal_value(weights) -> float:
     """(sum_i sqrt(w_i))^2, the best achievable network peak age."""

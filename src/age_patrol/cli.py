@@ -24,8 +24,9 @@ import click
 import numpy as np
 
 from .aoi_analysis import analytic_ages, average_age_lower_bound, peak_optimal_value
-from .dissemination import (EVENT_CSV_FIELDS, policy_from_design, separation_policy,
-                            simulate_dissemination, dissemination_report)
+# perfbench/tracer.py wraps policy_from_design and separation_policy as CLI globals
+from .dissemination import (EVENT_CSV_FIELDS, _policy, policy_from_design,  # noqa: F401
+                            separation_policy, simulate_dissemination, dissemination_report)
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
@@ -421,9 +422,10 @@ def cmd_disseminate(design_path, events_path, **flags):
         design = DesignResult.from_json(read_json(design_path))
     else:
         design = build_fastest_mixing(g)
-    policy = separation_policy(g, design=design)
+    analysis = analyze(design.matrix, pi=design.target_pi)
+    policy = _policy(analysis).validate()
     if cfg.rate_scale != 1.0:
-        policy = policy_from_design(design, rates=policy.rates * cfg.rate_scale)
+        policy = _policy(analysis, rates=policy.rates * cfg.rate_scale)
 
     run = functools.partial(_dissemination_run, g, policy, cfg.horizon, cfg.burn_in, cfg.start)
     stats, events = _replicate(run, cfg, record=bool(events_path))
@@ -456,7 +458,8 @@ def _sweep_point(args) -> dict:
     opts = SolverOptions(max_iterations=solver_iterations)
     fast = build_fastest_mixing(g, opts)
     mh_report = analytic_ages(analyze(mh.matrix, pi=mh.target_pi), g.weights)
-    fast_report = analytic_ages(analyze(fast.matrix, pi=fast.target_pi), g.weights)
+    fast_analysis = analyze(fast.matrix, pi=fast.target_pi)
+    fast_report = analytic_ages(fast_analysis, g.weights)
     age_stats = simulate_age_based(g, horizon=horizon, start=0)
     point = {
         "family": family, "n": g.n,
@@ -468,7 +471,7 @@ def _sweep_point(args) -> dict:
         "objective": fast.objective,
     }
     if need_dissemination:
-        policy = separation_policy(g, design=fast)
+        policy = _policy(fast_analysis).validate()
         diss = simulate_dissemination(g, policy, horizon, seed=base_seed + 1, start=0)
         point["dissemination_avg"] = diss.network_avg
     return point

@@ -2,15 +2,15 @@
 
 The hub generates updates for terminal i as a Bernoulli(lambda_i)
 process; packets wait in a per-terminal FCFS queue carried by the agent
-and the head-of-line packet is delivered when the agent visits.  Ages
-now reset to the delivered packet's age instead of to 1.
+and the head-of-line packet is delivered when the agent visits, so a
+terminal's age resets to the delivered packet's age.  The coupled
+simulator counts through the gathering simulators' loop
+(`simulation._count`), with the queues as its delivery rule.
 
 Both simulators draw an arrival process as its i.i.d. Geometric(lambda)
-gaps (`_bernoulli_arrivals`): about lambda * H draws instead of one
-uniform per slot.  The process is the same in law, but fixed-seed
-dissemination and vacation-queue outputs differ from versions that drew
-one uniform per slot.  The vacation-queue simulator then steps from one
-service or vacation end to the next, one uniform per duration.
+gaps (`_bernoulli_arrivals`), about lambda * H draws.  The vacation-queue
+simulator then steps from one service or vacation end to the next, one
+uniform per duration.
 
 Analytics come from a discrete-time single-server queue with server
 vacations: arrivals Bernoulli(lambda), general service S, and i.i.d.
@@ -47,7 +47,7 @@ from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
 from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze
-from .simulation import AgeStats, _AgeEngine, _check_window, _groups, _walk
+from .simulation import AgeStats, _AgeEngine, _check_run, _check_window, _count, _groups, _walk
 from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
@@ -260,25 +260,27 @@ class DisseminationPolicy(JsonRecord):
     discrepancy: float
 
     @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @property
     def rho(self) -> np.ndarray:
         """Queue utilizations lambda_i / pi_i."""
         return self.rates / self.target_pi
 
-    def validate(self) -> None:
+    def validate(self) -> "DisseminationPolicy":
+        """Return the policy if every rate is stable and every bound finite; raise otherwise."""
         # written so that a NaN rate fails
         if not (np.all(self.rates > 0) and np.all(self.rates < self.target_pi)):
             raise StabilityError("rates must satisfy 0 < lambda_i < pi_i")
         if not np.all(np.isfinite(self.upper_bounds)):
             raise NumericalError("upper bounds must be finite")
+        return self
 
 
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     """Attach rates to an existing trajectory design (default: optimal rates)."""
-    analysis = analyze(design.matrix, pi=design.target_pi)
+    return _policy(analyze(design.matrix, pi=design.target_pi), rates)
+
+
+def _policy(analysis: ChainAnalysis, rates=None) -> DisseminationPolicy:
+    """`policy_from_design` for a caller that already holds the design's analysis."""
     pi = analysis.pi
     slack = analysis.z_diag - pi
     if slack.min() < -1e-10:
@@ -290,7 +292,7 @@ def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     stable = np.flatnonzero((rho > 0) & (rho < 1))
     bounds = np.full(len(pi), math.inf)
     bounds[stable] = terminal_age_upper_bound(analysis, stable, rho[stable])
-    return DisseminationPolicy(matrix=design.matrix, target_pi=pi, rates=rates,
+    return DisseminationPolicy(matrix=analysis.matrix, target_pi=pi, rates=rates,
                                upper_bounds=bounds, discrepancy=analysis.discrepancy)
 
 
@@ -302,9 +304,7 @@ def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> D
     """
     if design is None:
         design = build_fastest_mixing(g)
-    policy = policy_from_design(design)
-    policy.validate()
-    return policy
+    return policy_from_design(design).validate()
 
 
 def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizon: int,
@@ -322,58 +322,30 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
 
     Each terminal's arrivals are drawn as geometric gaps
     (`_bernoulli_arrivals`), in terminal order, before the walk's
-    uniforms; fixed-seed outputs differ from versions that drew a
-    uniform per terminal per slot.  The walk never looks at the queues, so
-    it runs first, one chunk at a time, and `_Queues.serve` derives each
-    chunk's deliveries from its visits.
+    uniforms.  The walk never looks at the queues, so it runs first and
+    counts through gathering's loop with `_Queues.serve` as delivery rule.
     """
-    n = g.n
-    if policy.matrix.n != n or len(policy.rates) != n:
+    burn_in = _check_run(g, policy.matrix, horizon, burn_in, start, record_events)
+    if len(policy.rates) != g.n:
         raise ValueError("policy dimension does not match the graph")
-    if policy.matrix.support_violations(g):
-        raise ValueError("matrix places probability on non-edges of the graph")
     # written so that a NaN rate or utilization fails
     if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1) and np.all(policy.rho < 1)):
         raise StabilityError("need 0 <= lambda_i <= 1 and rho_i < 1 for every terminal")
-    burn_in = _check_window(horizon, burn_in, trace=record_events)
-    if not 0 <= start < n:
-        raise ValueError("start terminal out of range")
 
     rng = np.random.default_rng(seed)
     arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]
     queues = _Queues(arrivals, horizon)
-    engine = _AgeEngine(n, horizon, burn_in)
     walk = _walk(policy.matrix, start, rng, horizon)
-    log = []
-    check = 1 << 14   # the backlog is checked at every multiple of this slot
-    warned = False
-    for t0, positions in walk:
-        done = queues.delivered.copy()
-        deliveries = queues.serve(positions[:-1], t0)
-        engine.add(*deliveries)
-        if record_events:
-            log.append((t0, positions[1:], deliveries))
-        for s in range(-(-t0 // check) * check, t0 + len(positions) - 1, check):
-            terminal, slot, _ = deliveries
-            backlog = queues.arrived(s) - done - np.bincount(terminal[slot <= s], minlength=n)
-            over = np.flatnonzero(backlog > QUEUE_WARNING_THRESHOLD)
-            if len(over) and not warned:
-                warnings.warn(
-                    f"queue {over[0]} backlog {backlog[over[0]]} exceeds "
-                    f"{QUEUE_WARNING_THRESHOLD} at slot {s}; the system looks unstable",
-                    QueueBacklogWarning, stacklevel=2)
-                warned = True
-
-    stats = engine.finish(g.weights)
-    if record_events:
-        events = [(a, "arrive", i, a) for i, arr in enumerate(arrivals) for a in arr.tolist()]
-        for t0, moves, (terminal, slot, generated) in log:
-            events.extend((t, "deliver", i, gen) for t, i, gen in
-                          zip(slot.tolist(), terminal.tolist(), generated.tolist()))
-            events.extend((t, "move", m, None) for t, m in enumerate(moves.tolist(), t0))
-        events.sort(key=lambda e: (e[0], _EVENT_ORDER[e[1]]))
-        return stats, events
-    return stats
+    stats, log = _count(g, walk, horizon, burn_in, record_events, queues.serve)
+    if not record_events:
+        return stats
+    events = [(a, "arrive", i, a) for i, arr in enumerate(arrivals) for a in arr.tolist()]
+    for t0, positions, (terminal, slot, generated) in log:
+        events.extend((t, "deliver", i, gen) for t, i, gen in
+                      zip(slot.tolist(), terminal.tolist(), generated.tolist()))
+        events.extend((t, "move", m, None) for t, m in enumerate(positions[1:].tolist(), t0))
+    events.sort(key=lambda e: (e[0], _EVENT_ORDER[e[1]]))
+    return stats, events
 
 
 class _Queues:
@@ -394,16 +366,14 @@ class _Queues:
         # keys terminal * stride + slot rank every packet in one sorted array
         self.keys = self.generated + np.repeat(np.arange(len(arrivals)) * self.stride, counts)
         self.delivered = np.zeros(len(arrivals), dtype=np.int64)
-
-    def arrived(self, slot: int) -> np.ndarray:
-        """Packets generated in slots <= slot, per terminal."""
-        stops = np.arange(len(self.delivered)) * self.stride + slot
-        return np.searchsorted(self.keys, stops, side="right") - self.offset[:-1]
+        self.warned = False
 
     def serve(self, visits: np.ndarray, t0: int) -> tuple:
         """Deliveries (terminal, slot, generated) of visits in slots t0, t0 + 1, ...
 
-        The deliveries come grouped by terminal; `delivered` is updated.
+        The deliveries come grouped by terminal; `delivered` is updated, and
+        the backlog is checked at every slot among them that 16,384 divides,
+        whatever the chunk size.
         """
         order, first, ids = _groups(visits)
         terminal = visits[order]
@@ -423,8 +393,23 @@ class _Queues:
         before[first] = self.delivered[ids]
         hit = total > before
         self.delivered[ids] = total[np.append(first[1:], len(slot)) - 1]
-        return (terminal[hit], slot[hit],
-                self.generated[self.offset[owner[hit]] + total[hit] - 1])
+        terminal, slot = terminal[hit], slot[hit]
+        every = 1 << 14
+        n = len(self.delivered)
+        for s in range(-(-t0 // every) * every, t0 + len(visits), every):
+            arrived = np.searchsorted(self.keys, np.arange(n) * self.stride + s, side="right")
+            # the packets delivered by slot s exclude this chunk's later deliveries
+            backlog = (arrived - self.offset[:-1] - self.delivered
+                       + np.bincount(terminal[slot > s], minlength=n))
+            over = np.flatnonzero(backlog > QUEUE_WARNING_THRESHOLD)
+            if len(over) and not self.warned:
+                # the warning points at the caller of simulate_dissemination
+                warnings.warn(
+                    f"queue {over[0]} backlog {backlog[over[0]]} exceeds "
+                    f"{QUEUE_WARNING_THRESHOLD} at slot {s}; the system looks unstable",
+                    QueueBacklogWarning, stacklevel=4)
+                self.warned = True
+        return terminal, slot, self.generated[self.offset[owner[hit]] + total[hit] - 1]
 
 
 _MARGIN = 1.02  # Monte-Carlo slack on the hard dissemination checks

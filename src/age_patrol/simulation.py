@@ -16,16 +16,20 @@ uniforms with one call and reads each step from its row's guide table of
 in a bucket that a CDF boundary splits; the matrix builds these tables on
 first use and keeps them.  The age-based walk reads its score factor
 a*a + a from a table that doubles up to `_SCORE_TABLE_SIZE` entries.
-`_AgeEngine` then takes the chunk's deliveries as arrays (terminal, slot,
-generated), adds the closed-form, window-clipped sum of every ramp they
-close with numpy, and folds the chunk into per-terminal carries (the last
-delivery slot and the generation slot of the update delivered then).
-Memory therefore does not grow with the horizon, and the statistics are
-exactly those of a naive per-slot update.
+Both directions count through one loop, `_count`: a delivery rule turns
+each chunk's visits into deliveries (terminal, slot, generated), by default
+a fresh update per visit, and `_AgeEngine` adds with numpy the closed-form,
+window-clipped sum of every ramp they close and folds the chunk into
+per-terminal carries (the last delivery slot and the generation slot of the
+update delivered then).  Memory does not grow with the horizon, and the
+statistics are exactly those of a naive per-slot update.
+`periodic_exact_ages` returns the `AgeStats` of a two-period replay from a
+closed form over the tour's gaps, an oracle independent of the engine.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -55,13 +59,6 @@ class AgeStats(JsonRecord):
     network_avg: float
     horizon: int
     burn_in: int
-
-    @property
-    def n(self) -> int:
-        return len(self.per_terminal_avg)
-
-    def visit_fraction(self) -> np.ndarray:
-        return self.n_peaks / (self.horizon - self.burn_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,35 +147,45 @@ class _AgeEngine:
         )
 
 
-def _build_trace(n: int, log: np.ndarray) -> AgeTrace:
-    """Per-slot ages and visit peaks of a gathering run, rebuilt from its visit log."""
-    log = log.astype(int)
-    slots = np.arange(1, len(log) + 1)
-    ages = np.empty((len(log), n), dtype=np.int64)
-    peaks = []
-    for i in range(n):
-        visits = np.concatenate(([0], np.flatnonzero(log == i) + 1))
-        # the age in slot t counts from the last visit strictly before t
-        ages[:, i] = slots - visits[np.searchsorted(visits, slots) - 1]
-        peaks.append(np.diff(visits).tolist())
-    return AgeTrace(horizon=len(log), ages=ages, visit_log=log, peaks=peaks)
+def _fresh(visits: np.ndarray, t0: int) -> tuple:
+    """Gathering's deliveries: each visit delivers an update generated in its own slot."""
+    slots = np.arange(t0, t0 + len(visits))
+    return visits, slots, slots
+
+
+def _count(g: MobilityGraph, chunks, horizon: int, burn_in: int, record: bool,
+           deliver=_fresh):
+    """(AgeStats, log) of a walk given as `_walk` chunks; the one loop feeding `_AgeEngine`.
+
+    `deliver(visits, t0)` gives the deliveries (terminal, slot, generated) of
+    the visits in slots t0, t0 + 1, ...; log, None unless record is set,
+    lists every chunk's (t0, positions, deliveries).
+    """
+    engine = _AgeEngine(g.n, horizon, burn_in)
+    log = [] if record else None
+    for t0, positions in chunks:
+        deliveries = deliver(positions[:-1], t0)
+        engine.add(*deliveries)
+        if record:
+            log.append((t0, positions, deliveries))
+    return engine.finish(g.weights), log
 
 
 def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: bool):
-    """Gathering statistics (G = t at every visit) of a walk given as `_walk` chunks.
-
-    Returns AgeStats, or (AgeStats, AgeTrace) when record_trace is set.
-    """
-    engine = _AgeEngine(g.n, horizon, burn_in)
-    log = []
-    for t0, positions in chunks:
-        visits = positions[:-1]
-        slots = np.arange(t0, t0 + len(visits))
-        engine.add(visits, slots, slots)
-        if record_trace:
-            log.append(visits)
-    stats = engine.finish(g.weights)
-    return (stats, _build_trace(g.n, np.concatenate(log))) if record_trace else stats
+    """AgeStats of a gathering walk, or (AgeStats, AgeTrace) when record_trace is set."""
+    stats, log = _count(g, chunks, horizon, burn_in, record_trace)
+    if not record_trace:
+        return stats
+    visits = np.concatenate([positions[:-1] for _, positions, _ in log]).astype(int)
+    slots = np.arange(1, len(visits) + 1)
+    ages = np.empty((len(visits), g.n), dtype=np.int64)
+    peaks = []
+    for i in range(g.n):
+        visited = np.concatenate(([0], np.flatnonzero(visits == i) + 1))
+        # the age in slot t counts from the last visit strictly before t
+        ages[:, i] = slots - visited[np.searchsorted(visited, slots) - 1]
+        peaks.append(np.diff(visited).tolist())
+    return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits, peaks=peaks)
 
 
 def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
@@ -191,6 +198,20 @@ def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
     if trace and horizon > TRACE_HORIZON_LIMIT:
         raise ValueError(f"traces and event logs are limited to horizons <= "
                          f"{TRACE_HORIZON_LIMIT}")
+    return burn_in
+
+
+def _check_run(g: MobilityGraph, P: TransitionMatrix | None, horizon: int,
+               burn_in: int | None, start: int, trace: bool) -> int:
+    """Validate a walk's matrix (None for the greedy walk), window and start; return the burn-in."""
+    if P is not None:
+        if P.n != g.n:
+            raise ValueError("matrix dimension does not match the graph")
+        if P.support_violations(g):
+            raise ValueError("matrix places probability on non-edges of the graph")
+    burn_in = _check_window(horizon, burn_in, trace=trace)
+    if not 0 <= start < g.n:
+        raise ValueError("start terminal out of range")
     return burn_in
 
 
@@ -232,13 +253,7 @@ def simulate_randomized(g: MobilityGraph, P: TransitionMatrix, horizon: int,
     with the agent at `start`.  Returns AgeStats, or (AgeStats, AgeTrace)
     when record_trace is set (horizon capped at TRACE_HORIZON_LIMIT).
     """
-    if P.n != g.n:
-        raise ValueError("matrix dimension does not match the graph")
-    if P.support_violations(g):
-        raise ValueError("matrix places probability on non-edges of the graph")
-    burn_in = _check_window(horizon, burn_in, trace=record_trace)
-    if not 0 <= start < g.n:
-        raise ValueError("start terminal out of range")
+    burn_in = _check_run(g, P, horizon, burn_in, start, record_trace)
     walk = _walk(P, start, np.random.default_rng(seed), horizon)
     return _gather(g, walk, horizon, burn_in, record_trace)
 
@@ -291,68 +306,50 @@ def simulate_age_based(g: MobilityGraph, horizon: int = 50_000, burn_in: int | N
     Ties break to the lowest index, so the walk is deterministic and draws
     no random numbers.
     """
-    burn_in = _check_window(horizon, burn_in, trace=record_trace)
-    if not 0 <= start < g.n:
-        raise ValueError("start terminal out of range")
+    burn_in = _check_run(g, None, horizon, burn_in, start, record_trace)
     return _gather(g, _age_based_walk(g, start, horizon), horizon, burn_in, record_trace)
 
 
-def _check_sequence(g: MobilityGraph, sequence) -> list:
-    seq = [int(s) for s in sequence]
-    if not seq:
-        raise ValueError("sequence must not be empty")
+def _check_tour(sequence, n: int) -> list:
+    """`sequence` as a list of terminals in range(n) that visits every terminal."""
+    try:
+        seq = [operator.index(s) for s in sequence]
+    except TypeError:
+        raise ValueError("sequence entries must be integers") from None
     for s in seq:
-        if not 0 <= s < g.n:
+        if not 0 <= s < n:
             raise ValueError(f"sequence terminal {s} out of range")
-    missing = set(range(g.n)) - set(seq)
+    missing = sorted(set(range(n)) - set(seq))
     if missing:
-        raise ValueError(f"terminal never visited (infinite age): {sorted(missing)}")
-    length = len(seq)
-    for k in range(length):
-        a, b = seq[k], seq[(k + 1) % length]
-        if not g.has_edge(a, b):
-            raise ValueError(f"sequence uses a non-edge: ({a}, {b})")
+        raise ValueError(f"terminal never visited (infinite age): {missing}")
     return seq
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicAges:
-    """Exact long-run ages of a periodic trajectory (no simulation noise)."""
-
-    per_terminal_peak: np.ndarray
-    per_terminal_avg: np.ndarray
-    network_peak: float
-    network_avg: float
-
-
-def periodic_exact_ages(sequence, weights) -> PeriodicAges:
+def periodic_exact_ages(sequence, weights) -> AgeStats:
     """Closed-form ages of the infinite repetition of `sequence`.
 
-    For terminal i with inter-visit gaps h_1..h_k inside one period of
-    length L: average age = sum (h^2 + h) / (2L), peak age = L / k.
+    For terminal i with k visits and inter-visit gaps h_1..h_k inside one
+    period of length L: average age = sum (h^2 + h) / (2L), peak age = L / k.
+    The result equals `simulate_periodic(g, sequence, 2L)`: horizon 2L,
+    burn-in L and k peaks per terminal.
     """
     w = np.asarray(weights, dtype=float)
-    n = len(w)
-    seq = [int(s) for s in sequence]
+    seq = _check_tour(sequence, len(w))
     length = len(seq)
-    positions = [[] for _ in range(n)]
+    positions = [[] for _ in w]
     for idx, s in enumerate(seq):
         positions[s].append(idx)
-    if any(not pos for pos in positions):
-        missing = [i for i, pos in enumerate(positions) if not pos]
-        raise ValueError(f"terminal never visited (infinite age): {missing}")
-    peak = np.empty(n)
-    avg = np.empty(n)
-    for i, pos in enumerate(positions):
-        gaps = [pos[k + 1] - pos[k] for k in range(len(pos) - 1)]
-        gaps.append(length - pos[-1] + pos[0])
-        peak[i] = length / len(pos)
-        avg[i] = sum(h * h + h for h in gaps) / (2 * length)
-    return PeriodicAges(
+    gaps = [[b - a for a, b in zip(pos, pos[1:] + [pos[0] + length])] for pos in positions]
+    peak = np.array([length / len(h) for h in gaps])
+    avg = np.array([sum(x * x + x for x in h) / (2 * length) for h in gaps])
+    return AgeStats(
         per_terminal_peak=peak,
         per_terminal_avg=avg,
+        n_peaks=np.array([len(h) for h in gaps], dtype=np.int64),
         network_peak=float(np.sum(w * peak)),
         network_avg=float(np.sum(w * avg)),
+        horizon=2 * length,
+        burn_in=length,
     )
 
 
@@ -364,8 +361,11 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
     one full period discards the start-up transient, after which the
     empirical statistics equal `periodic_exact_ages` exactly.
     """
-    seq = _check_sequence(g, sequence)
+    seq = _check_tour(sequence, g.n)
     length = len(seq)
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if not g.has_edge(a, b):
+            raise ValueError(f"sequence uses a non-edge: ({a}, {b})")
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
     burn_in = _check_window(horizon, burn_in, default=length, trace=record_trace)

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from age_patrol import cli, load_graph
+from age_patrol import cli, dissemination, load_graph
 from age_patrol.cli import EXIT_VALIDATION, RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
 
 
@@ -483,6 +483,30 @@ def test_first_replication_records_without_a_rerun(runner, tmp_path, monkeypatch
     t, kind, terminal, generated = events[0]
     assert read_csv(events_path)[0] == {"t": str(t), "event": kind, "terminal": str(terminal),
                                         "generated": "" if generated is None else str(generated)}
+
+
+def test_each_design_is_analyzed_once(runner, tmp_path, monkeypatch):
+    matrices = []
+    original = cli.analyze
+
+    def counted(P, *args, **kwargs):
+        matrices.append(id(P))
+        return original(P, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(dissemination, "analyze", counted)
+    # a fig8 sweep point analyzes its MH and its fastest-mixing design
+    point = cli._sweep_point(("geometric", 10, 1, 2000, 100, True))
+    assert "dissemination_avg" in point
+    assert len(matrices) == len(set(matrices)) == 2
+
+    matrices.clear()
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", "2", "-o", str(graph_path)])
+    result = invoke(runner, ["disseminate", "--graph", str(graph_path), "--horizon", "2000",
+                             "--rate-scale", "0.5", "-o", str(tmp_path / "diss.csv")])
+    assert result.exit_code == 0, result.output
+    assert len(matrices) == 1
 
 
 def test_figure_rows_follow_the_sweep_contents_table():

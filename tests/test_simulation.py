@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import warnings
 from bisect import bisect_right
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from age_patrol import (DiscreteLaw, QueueBacklogWarning, TransitionMatrix, analytic_ages,
+from age_patrol import (AgeStats, DiscreteLaw, QueueBacklogWarning, TransitionMatrix, analytic_ages,
                         analyze, assign_weights, average_age_lower_bound,
                         brute_force_optimal_periodic, build_mh, dissemination, generate_grid_diag,
                         generate_random_geometric, generate_ring_k, markov, periodic_exact_ages,
@@ -158,6 +159,60 @@ def test_periodic_rejects_negative_burn_in():
     g = generate_ring_k(5, 1)
     with pytest.raises(ValueError, match="burn_in"):
         simulate_periodic(g, [0, 1, 2, 3, 4], 100, burn_in=-1)
+
+
+# tours of a path, a ring with k = 2 (stepping by 2 and by 1) and a grid with diagonals
+TOURS = {
+    "path-5": (make_path(5), [0, 1, 2, 3, 4, 3, 2, 1]),
+    "ring-7": (generate_ring_k(7, 2), [0, 2, 4, 6, 1, 3, 5, 6]),
+    "grid-3": (generate_grid_diag(3), [0, 1, 2, 5, 4, 3, 6, 7, 8, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOURS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_periodic_exact_ages_equal_a_two_period_replay(name, seed):
+    g, seq = TOURS[name]
+    g = assign_weights(g, "random_interval", seed=seed)
+    exact = periodic_exact_ages(seq, g.weights)
+    replay = simulate_periodic(g, seq, 2 * len(seq))
+    assert (exact.horizon, exact.burn_in) == (2 * len(seq), len(seq))
+    for f in dataclasses.fields(AgeStats):
+        a, b = getattr(exact, f.name), getattr(replay, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("seq, message", [
+    ([0, 1, -1], "terminal -1 out of range"),   # read as terminal 2
+    ([0, 1, 2, 3], "terminal 3 out of range"),  # raised IndexError
+    ([0, 1.7, 2], "must be integers"),          # truncated to [0, 1, 2]
+])
+def test_bad_tours_are_rejected(triangle, seq, message):
+    with pytest.raises(ValueError, match=message):
+        periodic_exact_ages(seq, np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        simulate_periodic(triangle, seq, 3 * len(seq))
+
+
+def test_recording_leaves_the_statistics_unchanged():
+    g = generate_random_geometric(10, 0.6, seed=3)
+    design = build_mh(g)
+    policy = separation_policy(g, design=design)
+    runs = {
+        "randomized": lambda record: simulate_randomized(g, design.matrix, 3000, seed=3,
+                                                         start=4, record_trace=record),
+        "age_based": lambda record: simulate_age_based(g, 3000, record_trace=record),
+        "periodic": lambda record: simulate_periodic(make_path(3), [0, 1, 2, 1], 3000,
+                                                     record_trace=record),
+        "dissemination": lambda record: simulate_dissemination(g, policy, 3000, seed=5,
+                                                               record_events=record),
+    }
+    for name, run in runs.items():
+        recorded, _ = run(True)
+        assert pickle.dumps(recorded) == pickle.dumps(run(False)), name
 
 
 def test_brute_force_triangle(triangle):
