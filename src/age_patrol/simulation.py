@@ -262,14 +262,15 @@ def _age_based_walk(g: MobilityGraph, cur: int, horizon: int):
     """`_walk`-style chunks of the greedy walk: argmax_j w_j (A_j^2 + A_j), lowest j on ties.
 
     A slot scores each neighbour j as w_j * tri[A_j] from a table tri[a] = a*a + a
-    of Python ints, so the score is the float direct arithmetic gives.  The
-    table doubles when a larger age occurs, up to _SCORE_TABLE_SIZE entries;
-    a slot with an older neighbour is scored by direct arithmetic.
+    of floats, exact since a*a + a < 2**53 below _SCORE_TABLE_SIZE, so the
+    score is the float direct arithmetic gives.  The table doubles when a
+    larger age occurs, up to _SCORE_TABLE_SIZE entries; a slot with an older
+    neighbour is scored by direct arithmetic.
     """
     w = g.weights.tolist()
     adj = [[(j, w[j]) for j in nbrs] for nbrs in g.neighbors]
     last = [0] * g.n   # slot of the last visit (0 = never)
-    tri = [0]
+    tri = [0.0]
     dtype = _terminal_dtype(g.n)
     for t0 in range(1, horizon + 1, _WALK_BUFFER):
         positions = [cur]
@@ -293,7 +294,7 @@ def _age_based_walk(g: MobilityGraph, cur: int, horizon: int):
                         best_val = val
                         best_j = j
                 size = len(tri)
-                tri.extend(a * a + a for a in range(size, min(2 * size, _SCORE_TABLE_SIZE)))
+                tri.extend(float(a * a + a) for a in range(size, min(2 * size, _SCORE_TABLE_SIZE)))
             cur = best_j
             append(cur)
         yield t0, np.array(positions, dtype=dtype)

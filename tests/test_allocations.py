@@ -15,7 +15,7 @@ import pytest
 
 from age_patrol import (DesignResult, analyze, assign_weights, build_mh, design_objective,
                         generate_random_geometric, generate_ring_k, simulate_age_based,
-                        simulate_randomized)
+                        simulate_randomized, stationary_distribution)
 
 N = 600
 RADIUS = 2.0 / math.sqrt(N)
@@ -67,6 +67,11 @@ def test_design_load_adopts_the_decoded_matrix(chain):
 def test_analyze_peak(chain):
     design, _ = chain
     assert peak_arrays(lambda: analyze(design.matrix)) <= 3.1
+
+
+def test_stationary_distribution_of_a_reversible_chain_builds_no_square_system(chain):
+    design, _ = chain
+    assert peak_arrays(lambda: stationary_distribution(design.matrix)) <= 0.5
 
 
 def test_validate_rebuilds_the_fundamental_system_in_row_blocks(chain):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from age_patrol import (PeriodicityWarning,
                         ReducibleChainError, TransitionMatrix, analyze, assign_weights,
-                        build_mh, check_irreducible, fundamental_matrix,
+                        build_mh, check_irreducible, fundamental_matrix, generate_ring_k,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
 from age_patrol import markov
@@ -107,6 +107,50 @@ def test_stationary_doubly_stochastic_is_uniform():
     p = np.array([np.roll(row, k) for k in range(5)])
     pi = stationary_distribution(TransitionMatrix(p))
     assert np.allclose(pi, np.full(5, 0.2), atol=1e-12)
+
+
+def test_stationary_of_a_large_mh_ring_matches_the_closed_form():
+    # detailed balance down a tree; a square solve is off by about 1e-9 here
+    g = assign_weights(generate_ring_k(1000, 3), "random_interval", seed=4)
+    design = build_mh(g)
+    for pi in stationary_distribution(design.matrix), analyze(design.matrix).pi:
+        assert np.max(np.abs(pi - design.target_pi) / design.target_pi) <= 1e-13
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per np.linalg.solve call made in the test."""
+    calls = []
+    original = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_reversible_chains_take_no_square_solve(solves):
+    for seed in range(5):
+        g = assign_weights(random_connected_graph(12, seed), "random_interval", seed=seed)
+        stationary_distribution(build_mh(g).matrix)
+    assert solves == []
+
+
+@pytest.mark.parametrize("p", [
+    # symmetric support, but p01 p12 p20 != p02 p21 p10: not reversible
+    [[0.1, 0.6, 0.3], [0.2, 0.1, 0.7], [0.5, 0.2, 0.3]],
+    # a directed 4-cycle with self-loops: the support is not symmetric
+    0.5 * np.eye(4) + 0.5 * np.roll(np.eye(4), 1, axis=1),
+], ids=["not_reversible", "directed_cycle"])
+def test_chains_without_detailed_balance_take_the_square_solve(p, solves):
+    P = TransitionMatrix(np.array(p))
+    ones = np.ones(P.n)
+    reference = np.linalg.solve(_fundamental_system(P.p, ones).T, ones)
+    reference = reference / reference.sum()
+    assert stationary_distribution(P).tolist() == reference.tolist()
+    assert len(solves) == 2  # the reference's and the chain's
 
 
 def test_fundamental_matrix_two_cycle(swap_matrix):
