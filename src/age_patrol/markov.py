@@ -8,29 +8,33 @@ irreducible row-stochastic matrix P, which `analyze` computes:
   kept when it passes the residual test, and otherwise from one square
   solve of (I - P + 1 1^T)^T pi^T = 1,
 * the fundamental matrix ``Z = M^-1``, M = I - P + 1 pi^T, whose
-  diagonal encodes return-time second moments; `_fundamental_system` is
-  the one builder of M and `_fundamental_residual` the one check of
-  max|M Z - I|,
+  diagonal encodes return-time second moments: above 128 terminals a
+  reversible chain inverts a Cholesky factor of D^1/2 M D^-1/2,
+  D = diag(pi), and any other chain takes the LU inverse of M, which
+  `_fundamental_system` builds; `_fundamental_residual`, the one check of
+  max|M Z - I|, multiplies only the entries of P in its support,
 * the discrepancy ``max_i sum_j |z_ij - pi_j|``, a computable mixing
   surrogate.
 
 The SLEM (second-largest eigenvalue modulus), a classical mixing
 diagnostic no age formula uses, is computed only when
 `ChainAnalysis.slem` is first read; for a reversible chain it comes from
-a symmetric eigensolver on D^1/2 P D^-1/2, D = diag(pi).
+a symmetric eigensolver on S.  `_symmetrized` is the one builder of S and
+of its asymmetry, for the SLEM and the Cholesky inverse alike.
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
 exactly testable O(n^3) solves beat iterative machinery.  At n = 2000 an
 n x n float64 array is 30.5 MiB, so these routines keep no n x n
 temporary beyond what their LAPACK call needs: M is built in place, the
-residual check rebuilds M a block of rows at a time from P, and
-elementwise steps write into an array the routine already holds.
+residual check works a block of rows at a time from P, and elementwise
+steps write into an array the routine already holds.
 
 Irreducibility is strong connectivity of the support digraph, so the
 breadth-first search behind it (`bfs_tree`, with `bfs_distances` and
-`strongly_connected` on it) lives here too; it also gives the detailed
-balance walk its tree and serves the graph checks and the brute-force
-search.
+`strongly_connected` on it) lives here too; it also serves the graph
+checks and the brute-force search.  A `TransitionMatrix` keeps the
+breadth-first tree of its support, which gives the detailed balance walk
+its tree and the residual check its row order.
 `JsonRecord` is the one JSON codec of the package's records, graphs
 included, and `read_json`/`write_json` its one file reader and writer.
 `_inverse_cdf` is the one inverse-CDF sampling table, of walk rows and
@@ -56,6 +60,16 @@ from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 # largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
 _SYMMETRIC_SPECTRUM_TOL = 1e-10
+# largest max|S - S^T| / (eps max|S|) at which the Cholesky inverse takes S as
+# symmetric: MH chains at n = 300-2000 read up to 12 with a detailed-balance pi
+# and up to 3 with their closed-form pi
+_SYMMETRIC_INVERSE_ULPS = 64
+# the Cholesky inverse runs above this many terminals: on geometric MH chains
+# (BLAS on one thread) it took 2.2-2.6x the time of the LU inverse at n = 30 and
+# 1.07x at n = 100, but 0.44-0.65x at n = 150 and 0.44-0.59x at n = 300-1000
+_CHOLESKY_MIN_N = 128
+# rows at which the triangular inverse stops halving and calls np.linalg.inv
+_TRIANGULAR_LEAF_ROWS = 64
 # buckets of a row's guide table; a power of two, so int(u * _GUIDE_BUCKETS) is exact
 _GUIDE_BUCKETS = 256
 
@@ -131,6 +145,20 @@ class TransitionMatrix:
     def samplers(self) -> tuple:
         """`_sampling_tables` of the rows, built on first read and kept with the matrix."""
         return _sampling_tables(self.p)
+
+    @cached_property
+    def support_tree(self) -> tuple:
+        """(order, parent) of a breadth-first search of the support from terminal 0.
+
+        Built on first read and kept with the matrix, as two n-entry integer
+        arrays.  ``order`` lists the terminals the search reaches, each where
+        it is first reached, then any it does not reach in index order;
+        ``parent[v]`` is the terminal v was first reached from (0 for 0, -1
+        if unreachable).
+        """
+        order, parent = bfs_tree(_support_lists(self.p), 0)
+        parent = np.array(parent)
+        return np.concatenate([order, np.flatnonzero(parent < 0)]), parent
 
     def support_violations(self, graph) -> list:
         """Off-diagonal positive entries that are not edges of the graph, in row-major order."""
@@ -268,17 +296,17 @@ class ChainAnalysis:
         return slem(self.matrix, self.pi)
 
     def validate(self) -> None:
-        """Re-check the defining residuals; raises on violation."""
-        p = self.matrix.p
-        if np.max(np.abs(self.pi @ p - self.pi)) > TOL.pi_residual:
+        """Re-check the defining residuals; raises on violation, a NaN included."""
+        # each test is written so that a NaN fails it
+        if not np.max(np.abs(self.pi @ self.matrix.p - self.pi)) <= TOL.pi_residual:
             raise NumericalError("stationary residual out of tolerance")
-        if abs(self.pi.sum() - 1.0) > TOL.pi_norm:
+        if not abs(self.pi.sum() - 1.0) <= TOL.pi_norm:
             raise NumericalError("stationary distribution does not sum to 1")
-        if np.any(self.pi <= 0):
+        if not np.all(self.pi > 0):
             raise NumericalError("stationary distribution must be positive")
-        if _fundamental_residual(p, self.pi, self.z) > TOL.fundamental_residual:
+        if not _fundamental_residual(self.matrix, self.pi, self.z) <= TOL.fundamental_residual:
             raise NumericalError("fundamental matrix residual out of tolerance")
-        if self.discrepancy < 0:
+        if not self.discrepancy >= 0:
             raise NumericalError("discrepancy must be nonnegative")
 
 
@@ -330,9 +358,9 @@ def check_irreducible(P: TransitionMatrix) -> bool:
     return strongly_connected(_support_lists(P.p))
 
 
-# rows of M rebuilt per block of the residual check; a block of M and its
-# product with Z are each this many rows of n floats
-_RESIDUAL_BLOCK_ROWS = 256
+# rows per block of the residual check, taken in breadth-first order of the
+# support so that a block's rows share most of their support
+_RESIDUAL_BLOCK_ROWS = 32
 
 
 def _fundamental_system(p: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -343,22 +371,96 @@ def _fundamental_system(p: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return m
 
 
-def _fundamental_residual(p: np.ndarray, pi: np.ndarray, z: np.ndarray) -> float:
-    """max|M Z - I| for M = I - P + 1 pi^T, rebuilding M a block of rows at a time."""
-    n = p.shape[0]
-    worst = 0.0
+def _fundamental_residual(P: TransitionMatrix, pi: np.ndarray, z: np.ndarray) -> float:
+    """max|M Z - I| for M = I - P + 1 pi^T, as max|Z - P Z + 1 (pi^T Z) - I|; NaN if Z has one.
+
+    The rows go in blocks of `_RESIDUAL_BLOCK_ROWS` in the order of
+    `TransitionMatrix.support_tree`.  A block multiplies the columns of P
+    that its rows' support touches by those rows of Z, or all of Z when
+    they are more than half of it, since gathering that many rows of Z
+    costs more than the products it saves.
+    """
+    p, n = P.p, P.n
+    order = P.support_tree[0]
+    pi_z = pi @ z
+    worst = []
     for start in range(0, n, _RESIDUAL_BLOCK_ROWS):
-        stop = min(start + _RESIDUAL_BLOCK_ROWS, n)
-        block = np.negative(p[start:stop])
-        block.flat[start::n + 1] += 1.0  # entries (k, start + k)
-        block += pi[None, :]
-        lhs = block @ z
-        lhs.flat[start::n + 1] -= 1.0
-        worst = max(worst, float(np.abs(lhs, out=lhs).max()))
-    return worst
+        rows = order[start:start + _RESIDUAL_BLOCK_ROWS]
+        block = p[rows]
+        cols = np.flatnonzero(block.any(axis=0))
+        lhs = block[:, cols] @ z[cols] if 2 * len(cols) <= n else block @ z
+        np.subtract(z[rows], lhs, out=lhs)
+        lhs += pi_z
+        lhs[np.arange(len(rows)), rows] -= 1.0
+        worst.append(np.abs(lhs, out=lhs).max())
+    return float(np.max(worst))  # np.max, unlike max, keeps a NaN
 
 
-def _detailed_balance(p: np.ndarray) -> np.ndarray | None:
+def _symmetrized(p: np.ndarray, pi: np.ndarray) -> tuple:
+    """(S, |S - S^T|) for S = D^1/2 P D^-1/2, D = diag(pi), in two n x n arrays.
+
+    S is similar to P, and symmetric exactly when P is reversible with
+    stationary distribution pi.
+    """
+    root = np.sqrt(pi)
+    s = np.multiply(p, root[:, None])
+    s /= root[None, :]
+    gap = np.subtract(s, s.T)
+    return s, np.abs(gap, out=gap)
+
+
+def _invert_lower(l: np.ndarray) -> None:
+    """Invert the lower-triangular l in place, by halves as LAPACK's trtri does.
+
+    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]:
+    both diagonal halves are inverted first, then L21 is overwritten.
+    Blocks of at most `_TRIANGULAR_LEAF_ROWS` rows go to np.linalg.inv.
+    """
+    n = l.shape[0]
+    if n <= _TRIANGULAR_LEAF_ROWS:
+        l[...] = np.tril(np.linalg.inv(l))  # the LU solve may leave rounding above the diagonal
+        return
+    h = n // 2
+    _invert_lower(l[:h, :h])
+    _invert_lower(l[h:, h:])
+    l[h:, :h] = (l[h:, h:] @ l[h:, :h]) @ l[:h, :h]
+    np.negative(l[h:, :h], out=l[h:, :h])
+
+
+def _reversible_inverse(p: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
+    """Z = M^-1 through a Cholesky factor; None if S is not symmetric or the factor fails.
+
+    D^1/2 M D^-1/2 = I - S + sqrt(pi) sqrt(pi)^T.  When max|S - S^T| is at
+    most `_SYMMETRIC_INVERSE_ULPS` eps max|S|, np.linalg.cholesky, which
+    reads only the lower triangle, factors A = L L^T, the symmetric matrix
+    on that triangle; A is within half that asymmetry of
+    I - (S + S^T)/2 + sqrt(pi) sqrt(pi)^T.  For an irreducible reversible
+    chain A is positive definite: the eigenvalues 1 - lambda of I - S are
+    positive except on sqrt(pi), a unit vector, which A maps to itself.
+    With l = L^-1, Z = D^-1/2 l^T l D^1/2.
+    """
+    a, gap = _symmetrized(p, pi)  # a holds S until A overwrites it
+    if not gap.max() <= _SYMMETRIC_INVERSE_ULPS * np.finfo(float).eps * a.max():
+        return None
+    del gap
+    np.negative(a, out=a)
+    a.flat[::p.shape[0] + 1] += 1.0
+    root = np.sqrt(pi)
+    a += np.outer(root, root)
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    del a
+    _invert_lower(l)
+    z = l.T @ l  # numpy runs a product of an array with its transpose as one syrk
+    del l
+    z /= root[:, None]
+    z *= root[None, :]
+    return z
+
+
+def _detailed_balance(P: TransitionMatrix) -> np.ndarray | None:
     """pi from detailed balance down a breadth-first tree of the support, or None.
 
     From terminal 0, each terminal v first reached from u gets
@@ -367,15 +469,17 @@ def _detailed_balance(p: np.ndarray) -> np.ndarray | None:
     any other P the caller's residual test decides whether it is
     stationary.  A zero P_vu, or an overflow or underflow on the way, leaves
     a zero, infinite or NaN entry, and the result is None.  P must be
-    irreducible, so that the tree spans every terminal.
+    irreducible, so that the tree (`TransitionMatrix.support_tree`) spans
+    every terminal.
     """
-    order, parent = bfs_tree(_support_lists(p), 0)
+    p = P.p
+    order, parent = P.support_tree
     child = order[1:]
-    up = [parent[v] for v in child]
-    pi = [0.0] * p.shape[0]
+    up = parent[child]
+    pi = [0.0] * P.n
     pi[0] = 1.0
     with np.errstate(all="ignore"):
-        for v, u, ratio in zip(child, up, (p[up, child] / p[child, up]).tolist()):
+        for v, u, ratio in zip(child.tolist(), up.tolist(), (p[up, child] / p[child, up]).tolist()):
             pi[v] = pi[u] * ratio
         pi = np.array(pi)
         pi /= pi.sum()  # an infinite entry leaves every entry NaN or zero
@@ -398,27 +502,40 @@ def stationary_distribution(P: TransitionMatrix) -> np.ndarray:
     """
     if not check_irreducible(P):
         raise ReducibleChainError("chain is reducible; stationary distribution not unique")
-    pi = _detailed_balance(P.p)
+    pi = _detailed_balance(P)
     if pi is not None and np.max(np.abs(pi @ P.p - pi)) <= TOL.pi_solve_residual:
         return pi
     ones = np.ones(P.n)
     pi = np.linalg.solve(_fundamental_system(P.p, ones).T, ones)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ P.p - pi)))
-    if residual > TOL.pi_solve_residual or np.any(pi <= 0):
+    if not (residual <= TOL.pi_solve_residual and np.all(pi > 0)):  # a NaN fails it
         raise NumericalError(
             f"stationary solve failed (residual {residual:.3e}, min pi {pi.min():.3e})")
     return pi
 
 
 def fundamental_matrix(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
-    """Z = (I - P + Pi)^-1 where Pi has every row equal to pi."""
+    """Z = (I - P + Pi)^-1 where Pi has every row equal to pi.
+
+    Above 128 terminals, a chain whose S = D^1/2 P D^-1/2 is symmetric to
+    rounding level (a reversible chain with its stationary pi) takes the
+    Cholesky inverse of `_reversible_inverse`, in about 0.6x the LU
+    inverse's time with the same forward error.  Every other chain, every
+    chain of at most 128 terminals (where the LU inverse is as fast or
+    faster) and a system the factorisation finds not positive definite
+    take the LU inverse of M = I - P + 1 pi^T.  Either Z must pass
+    max|M Z - I| <= TOL.fundamental_residual, checked on the support of P
+    by `_fundamental_residual`, or a NumericalError reports the residual.
+    """
     pi = np.asarray(pi, dtype=float)
-    if np.max(np.abs(pi @ P.p - pi)) > TOL.design_pi_residual:
+    if not np.max(np.abs(pi @ P.p - pi)) <= TOL.design_pi_residual:  # a NaN fails it
         raise ValueError("pi is not stationary for P within tolerance")
-    z = np.linalg.inv(_fundamental_system(P.p, pi))
-    residual = _fundamental_residual(P.p, pi, z)
-    if residual > TOL.fundamental_residual:
+    z = _reversible_inverse(P.p, pi) if P.n > _CHOLESKY_MIN_N else None
+    if z is None:
+        z = np.linalg.inv(_fundamental_system(P.p, pi))
+    residual = _fundamental_residual(P, pi, z)
+    if not residual <= TOL.fundamental_residual:
         cond = float(np.linalg.cond(_fundamental_system(P.p, pi)))
         raise NumericalError(
             f"fundamental solve residual {residual:.3e} (condition estimate {cond:.3e}"
@@ -442,11 +559,8 @@ def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
     """
     moduli = None
     if pi is not None and np.all(np.asarray(pi) > 0):
-        root = np.sqrt(pi)
-        s = np.multiply(P.p, root[:, None])
-        s /= root[None, :]
-        work = np.subtract(s, s.T)
-        if np.abs(work, out=work).sum(axis=1).max() / 2 <= _SYMMETRIC_SPECTRUM_TOL:
+        s, work = _symmetrized(P.p, np.asarray(pi, dtype=float))
+        if work.sum(axis=1).max() / 2 <= _SYMMETRIC_SPECTRUM_TOL:
             np.add(s, s.T, out=work)
             del s  # eigvalsh copies its input; S is not needed beside that copy
             work /= 2

@@ -75,8 +75,9 @@ def test_stationary_distribution_of_a_reversible_chain_builds_no_square_system(c
 
 
 def test_validate_rebuilds_the_fundamental_system_in_row_blocks(chain):
+    # a block holds 32 rows of P and the rows of Z its support touches
     _, analysis = chain
-    assert peak_arrays(analysis.validate) <= 1.5
+    assert peak_arrays(analysis.validate) <= 0.5
 
 
 def test_design_objective_allocates_one_difference(chain):

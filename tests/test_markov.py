@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from age_patrol import (PeriodicityWarning,
+from age_patrol import (NumericalError, PeriodicityWarning,
                         ReducibleChainError, TransitionMatrix, analyze, assign_weights,
-                        build_mh, check_irreducible, fundamental_matrix, generate_ring_k,
+                        build_mh, check_irreducible, fundamental_matrix,
+                        generate_random_geometric, generate_ring_k,
                         return_time_moments, simulate_randomized, slem,
                         stationary_distribution)
 from age_patrol import markov
@@ -183,6 +186,63 @@ def test_fundamental_matrix_three_cycle_diagonal():
 def test_fundamental_matrix_rejects_wrong_pi(swap_matrix):
     with pytest.raises(ValueError, match="not stationary"):
         fundamental_matrix(swap_matrix, np.array([0.9, 0.1]))
+    with pytest.raises(ValueError, match="not stationary"):
+        fundamental_matrix(swap_matrix, np.array([0.5, np.nan]))
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """One entry per np.linalg.cholesky call made in the test."""
+    calls = []
+    original = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def mh_chain(g, seed):
+    return build_mh(assign_weights(g, "random_interval", seed=seed)).matrix
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mh_chain(generate_ring_k(1000, 3), seed=4),
+    lambda: mh_chain(generate_random_geometric(600, 2.0 / math.sqrt(600), seed=1), seed=2),
+], ids=["ring-1000-k3", "geometric-600"])
+def test_large_reversible_chains_take_the_cholesky_inverse(make, factorisations):
+    P = make()
+    pi = stationary_distribution(P)
+    z = fundamental_matrix(P, pi)
+    assert len(factorisations) == 1
+    reference = np.diag(np.linalg.inv(_fundamental_system(P.p, pi)))
+    assert np.max(np.abs(np.diag(z) - reference) / reference) <= 1e-12
+    assert np.max(np.abs(z.sum(axis=1) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mh_chain(random_connected_graph(128, seed=3), seed=3),
+    lambda: random_chain(random_connected_graph(200, seed=5), seed=6),
+], ids=["reversible-128", "not-reversible-200"])
+def test_small_or_non_reversible_chains_take_the_lu_inverse(make, factorisations):
+    P = make()
+    pi = stationary_distribution(P)
+    reference = np.linalg.inv(_fundamental_system(P.p, pi))
+    assert fundamental_matrix(P, pi).tolist() == reference.tolist()
+    assert factorisations == []
+
+
+def test_a_failed_factorisation_takes_the_lu_inverse(monkeypatch):
+    def not_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    P = mh_chain(generate_ring_k(200, 2), seed=7)
+    pi = stationary_distribution(P)
+    monkeypatch.setattr(np.linalg, "cholesky", not_definite)
+    reference = np.linalg.inv(_fundamental_system(P.p, pi))
+    assert fundamental_matrix(P, pi).tolist() == reference.tolist()
 
 
 def test_return_time_moments_two_cycle(swap_matrix):
@@ -267,21 +327,66 @@ def test_rows_of_fundamental_matrix_sum_to_one():
         assert np.allclose(analysis.z.sum(axis=1), 1.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [7, 256, 600], ids=["one-block", "exact-block", "partial-block"])
-def test_blocked_residual_matches_dense_residual(n):
-    g = assign_weights(random_connected_graph(n, seed=n), "random_interval", seed=1)
-    P = build_mh(g).matrix
+def dense_chain(n, seed):
+    p = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))
+    return TransitionMatrix(p / p.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mh_chain(random_connected_graph(7, seed=7), seed=1),
+    lambda: mh_chain(random_connected_graph(256, seed=256), seed=1),
+    lambda: mh_chain(random_connected_graph(600, seed=600), seed=1),
+    lambda: random_chain(random_connected_graph(300, seed=8), seed=9),
+    lambda: dense_chain(150, seed=10),
+], ids=["one-block", "exact-block", "partial-block", "not-reversible", "dense-support"])
+def test_blocked_residual_matches_dense_residual(make):
+    P = make()
+    n = P.n
     pi = stationary_distribution(P)
     m = np.eye(n) - P.p + np.tile(pi, (n, 1))
     assert np.array_equal(_fundamental_system(P.p, pi), m)
     z = fundamental_matrix(P, pi)
     dense = np.max(np.abs(m @ z - np.eye(n)))
-    assert abs(_fundamental_residual(P.p, pi, z) - dense) <= 1e-14
+    assert abs(_fundamental_residual(P, pi, z) - dense) <= 1e-14
     # a perturbed Z must show in the blocked check as in the dense one
-    z[n - 1, 0] += 1e-6
-    dense = np.max(np.abs(m @ z - np.eye(n)))
-    assert dense > 1e-7
-    assert abs(_fundamental_residual(P.p, pi, z) - dense) <= 1e-14
+    for (i, j), delta in zip([(n - 1, 0), (0, n - 1), (n // 2, n // 3), (n // 3, n // 3)],
+                             [1e-6, -3e-7, 2e-5, -4e-6]):
+        z[i, j] += delta
+        dense = np.max(np.abs(m @ z - np.eye(n)))
+        assert dense > 1e-7
+        assert abs(_fundamental_residual(P, pi, z) - dense) <= 1e-14
+
+
+def test_a_nan_fails_the_residual_and_validate():
+    analysis = analyze(mh_chain(random_connected_graph(40, seed=2), seed=3))
+    analysis.validate()
+    z = analysis.z.copy()
+    z[17, 5] = np.nan
+    assert math.isnan(_fundamental_residual(analysis.matrix, analysis.pi, z))
+    pi = analysis.pi.copy()
+    pi[3] = np.nan
+    for bad in dict(z=z), dict(pi=pi), dict(discrepancy=math.nan):
+        with pytest.raises(NumericalError):
+            dataclasses.replace(analysis, **bad).validate()
+
+
+def test_a_matrix_builds_its_support_tree_once(monkeypatch):
+    # the support lists are built for each irreducibility check and once for
+    # the matrix's kept tree, which the detailed balance walk and every
+    # residual check read
+    calls = []
+    original = markov._support_lists
+
+    def counted(p):
+        calls.append(None)
+        return original(p)
+
+    monkeypatch.setattr(markov, "_support_lists", counted)
+    P = mh_chain(random_connected_graph(300, seed=11), seed=12)
+    analyze(P).validate()
+    assert len(calls) == 2
+    analyze(P).validate()
+    assert len(calls) == 3
 
 
 def test_analysis_validate_passes_on_real_chain():
