@@ -9,22 +9,19 @@ walker, discrete-time simulators for both directions of traffic, and a
 CLI for experiment sweeps.
 """
 
-from .aoi_analysis import (AgeReport, analytic_ages, average_age_lower_bound,
-                           average_age_upper_bound, peak_optimal_value)
+from .aoi_analysis import AgeReport, analytic_ages, average_age_lower_bound, peak_optimal_value
 from .constants import TOL, Tolerances
 from .dissemination import (DiscreteLaw, DisseminationPolicy, QueueModelParams,
-                            VacationQueueStats, berg1_vacation_peak_age,
-                            berg1_vacation_system_time, dissemination_report,
-                            optimal_utilization, policy_from_design, separation_policy,
-                            simulate_berg1_vacation, simulate_dissemination,
-                            terminal_age_upper_bound)
+                            VacationQueueStats, berg1_vacation_peak_age, dissemination_report,
+                            policy_from_design, separation_policy, simulate_berg1_vacation,
+                            simulate_dissemination, terminal_age_upper_bound)
 from .errors import (DisconnectedGraphError, GraphValidationError, NumericalError,
                      PeriodicityWarning, QueueBacklogWarning, ReducibleChainError,
                      SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 from .markov import (ChainAnalysis, TransitionMatrix, analyze, check_irreducible,
-                     fundamental_matrix, return_time_moments, slem, stationary_distribution)
+                     fundamental_matrix, slem, stationary_distribution)
 from .simulation import (AgeStats, AgeTrace, brute_force_optimal_periodic, periodic_exact_ages,
                          simulate_age_based, simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing,

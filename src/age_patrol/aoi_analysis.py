@@ -46,12 +46,6 @@ def average_age_lower_bound(weights) -> float:
     return 0.5 * (peak_optimal_value(w) + float(w.sum()))
 
 
-def average_age_upper_bound(analysis: ChainAnalysis, weights) -> float:
-    """sum_i (w_i * discrepancy / pi_i + w_i) for this chain."""
-    w = np.asarray(weights, dtype=float)
-    return float(np.sum(w * analysis.discrepancy / analysis.pi + w))
-
-
 def analytic_ages(analysis: ChainAnalysis, weights) -> AgeReport:
     w = np.asarray(weights, dtype=float)
     if w.shape != (analysis.n,):
@@ -64,6 +58,6 @@ def analytic_ages(analysis: ChainAnalysis, weights) -> AgeReport:
         network_peak=float(np.sum(w * per_peak)),
         network_avg=float(np.sum(w * per_avg)),
         lower_bound_avg=average_age_lower_bound(w),
-        upper_bound_avg=average_age_upper_bound(analysis, w),
+        upper_bound_avg=float(np.sum(w * analysis.discrepancy / analysis.pi + w)),
         peak_opt_value=peak_optimal_value(w),
     )

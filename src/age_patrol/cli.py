@@ -14,7 +14,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -87,14 +86,6 @@ def _cli_errors(fn):
 @click.group()
 def main():
     """Design and evaluate freshness-aware patrol trajectories on mobility graphs."""
-
-
-def _default_jobs() -> int:
-    """The worker count in AGE_PATROL_JOBS (default 1); it must be an integer >= 1."""
-    value = os.environ.get("AGE_PATROL_JOBS", "1")
-    if not (value.strip().isdecimal() and int(value) >= 1):
-        raise click.UsageError(f"AGE_PATROL_JOBS must be an integer >= 1, not {value!r}")
-    return int(value)
 
 
 def _parallel_map(fn, jobs, *iterables) -> list:
@@ -199,7 +190,7 @@ def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, ou
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--method", type=click.Choice(["mh", "fastest"]), required=True)
-@click.option("--max-iterations", type=int, default=None)
+@click.option("--max-iterations", type=click.IntRange(min=0), default=None)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @_cli_errors
 def cmd_design(graph_path, method, max_iterations, output):
@@ -208,7 +199,7 @@ def cmd_design(graph_path, method, max_iterations, output):
     if method == "mh":
         design = build_mh(g)
     else:
-        opts = SolverOptions(max_iterations=max_iterations) if max_iterations else None
+        opts = None if max_iterations is None else SolverOptions(max_iterations=max_iterations)
         design = build_fastest_mixing(g, opts)
     analysis = analyze(design.matrix, pi=design.target_pi)
     report = analytic_ages(analysis, g.weights)
@@ -360,7 +351,7 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
     the per-seed statistics and replication 0's log (None unless recorded).
     """
     seeds = cfg.seed_list()
-    outs = _parallel_map(run, cfg.jobs or _default_jobs(), seeds,
+    outs = _parallel_map(run, cfg.jobs or 1, seeds,
                          [record and k == 0 for k in range(len(seeds))])
     log = None
     if record:
@@ -440,7 +431,7 @@ def cmd_disseminate(design_path, events_path, **flags):
 
 def _sweep_graph(family, n, base_seed):
     return _family_graph(GraphSpec(
-        family, n, int(round(math.sqrt(n))), RING_RADIUS, seed=base_seed + n,
+        family, n, math.isqrt(n), RING_RADIUS, seed=base_seed + n,
         weights=WeightSpec("random_interval", 1.0, 2.0, base_seed + 10_000 + n)))
 
 
@@ -489,22 +480,24 @@ def _figure_rows(figure, points) -> list:
 @click.option("--horizon", type=int, default=50_000)
 @click.option("--base-seed", type=int, default=SWEEP_BASE_SEED)
 @click.option("--sizes", callback=_int_list, help="comma-separated size override for the sweep")
-@click.option("--solver-iterations", type=int, default=SWEEP_SOLVER_ITERATIONS)
-@click.option("--jobs", type=click.IntRange(min=1), default=None)
+@click.option("--solver-iterations", type=click.IntRange(min=0), default=SWEEP_SOLVER_ITERATIONS)
+@click.option("--jobs", type=click.IntRange(min=1), default=1)
 @_cli_errors
 def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations, jobs):
     """Sweep network size per graph family and emit one CSV per figure id."""
     figures = sorted(FIGURES) if figure == "all" else [figure]
-    jobs = jobs or _default_jobs()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     families = {}
     for fig in figures:
         family, _, columns = FIGURES[fig]
         entry = families.setdefault(family, {"sizes": set(), "diss": False})
         entry["sizes"].update(sizes or SWEEP_SIZES[family])
         entry["diss"] = entry["diss"] or any(key == "dissemination_avg" for _, key in columns)
+    grid_sizes = families["grid"]["sizes"] if "grid" in families else ()
+    non_squares = sorted(n for n in grid_sizes if n < 4 or math.isqrt(n) ** 2 != n)
+    if non_squares:
+        raise click.UsageError(f"grid sizes must be squares of a side >= 2, not {non_squares}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
     for family, entry in sorted(families.items()):

@@ -129,18 +129,13 @@ class QueueModelParams:
                                 vacation.mean(), vacation.second_moment())
 
 
-def berg1_vacation_system_time(p: QueueModelParams) -> float:
-    """Expected slots a packet spends in the queue plus in service."""
-    rho = p.rho
-    return (p.service_mean
-            + (p.lam * p.service_second_moment - rho) / (2.0 * (1.0 - rho))
-            + p.vacation_second_moment / (2.0 * p.vacation_mean)
-            - 0.5)
-
-
 def berg1_vacation_peak_age(p: QueueModelParams) -> float:
     """Exact peak age of the vacation queue: mean interarrival + system time."""
-    return 1.0 / p.lam + berg1_vacation_system_time(p)
+    rho = p.rho
+    return 1.0 / p.lam + (p.service_mean
+                          + (p.lam * p.service_second_moment - rho) / (2.0 * (1.0 - rho))
+                          + p.vacation_second_moment / (2.0 * p.vacation_mean)
+                          - 0.5)
 
 
 def _bernoulli_arrivals(rng: np.random.Generator, lam: float, horizon: int) -> np.ndarray:
@@ -244,11 +239,6 @@ def terminal_age_upper_bound(analysis: ChainAnalysis, i, rho_i):
     return (1.0 / rho_i + 1.0 + slack / (1.0 - rho_i)) / pi_i
 
 
-def optimal_utilization(z_ii, pi_i):
-    """Utilization minimizing the per-terminal dissemination bound (scalars or arrays)."""
-    return 1.0 / (1.0 + np.sqrt(np.maximum(z_ii - pi_i, 0.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class DisseminationPolicy(JsonRecord):
     """A trajectory plus per-terminal update generation rates."""
@@ -286,7 +276,8 @@ def _policy(analysis: ChainAnalysis, rates=None) -> DisseminationPolicy:
     if slack.min() < -1e-10:
         raise NumericalError(
             f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")
-    rates = (pi * optimal_utilization(analysis.z_diag, pi) if rates is None
+    # pi_i times the utilization that minimizes the bound
+    rates = (pi * (1.0 / (1.0 + np.sqrt(np.maximum(slack, 0.0)))) if rates is None
              else np.asarray(rates, dtype=float))
     rho = rates / pi
     stable = np.flatnonzero((rho > 0) & (rho < 1))

@@ -97,14 +97,6 @@ def _validate(g: MobilityGraph) -> None:
         raise DisconnectedGraphError("graph is not strongly connected")
 
 
-def _symmetric_edges(pairs) -> frozenset:
-    out = set()
-    for i, j in pairs:
-        out.add((i, j))
-        out.add((j, i))
-    return frozenset(out)
-
-
 def _pairs_within(pts: np.ndarray, r: float) -> tuple:
     """Index arrays of the ordered pairs of distinct points at Euclidean distance <= r."""
     # one coordinate at a time: two n x n float arrays, not an (n, n, 2) cube
@@ -151,19 +143,13 @@ def generate_grid_diag(side: int) -> MobilityGraph:
     if side < 2:
         raise GraphValidationError("grid side must be at least 2")
     n = side * side
-    pairs = []
-    for r in range(side):
-        for c in range(side):
-            u = r * side + c
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < side and 0 <= cc < side:
-                        pairs.append((u, rr * side + cc))
+    # each cell to each of its up to 8 lattice neighbours, so both directions of every edge
+    edges = frozenset((r * side + c, (r + dr) * side + c + dc)
+                      for r in range(side) for c in range(side)
+                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                      if (dr or dc) and 0 <= r + dr < side and 0 <= c + dc < side)
     meta = {"family": "grid", "seed": None, "params": {"side": side}}
-    return MobilityGraph(n, _symmetric_edges(pairs), np.ones(n), None, meta)
+    return MobilityGraph(n, edges, np.ones(n), None, meta)
 
 
 def generate_ring_k(n: int, k: int) -> MobilityGraph:
@@ -172,9 +158,9 @@ def generate_ring_k(n: int, k: int) -> MobilityGraph:
         raise GraphValidationError("ring needs at least 3 terminals")
     if not 1 <= k <= (n - 1) // 2:
         raise GraphValidationError("neighbour radius k must satisfy 1 <= k <= (n-1)//2")
-    pairs = [(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)]
+    edges = frozenset((i, (i + d) % n) for i in range(n) for d in range(-k, k + 1) if d)
     meta = {"family": "ring", "seed": None, "params": {"n": n, "k": k}}
-    return MobilityGraph(n, _symmetric_edges(pairs), np.ones(n), None, meta)
+    return MobilityGraph(n, edges, np.ones(n), None, meta)
 
 
 def assign_weights(g: MobilityGraph, mode: str, *, lo: float = 1.0, hi: float = 2.0,

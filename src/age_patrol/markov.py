@@ -575,12 +575,6 @@ def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
     return value
 
 
-def discrepancy_of(z: np.ndarray, pi: np.ndarray) -> float:
-    """max_i sum_j |z_ij - pi_j|."""
-    deviation = np.subtract(z, pi[None, :])
-    return float(np.abs(deviation, out=deviation).sum(axis=1).max())
-
-
 def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
     """Bundle stationary distribution, fundamental matrix and discrepancy.
 
@@ -603,23 +597,12 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
         if not check_irreducible(P):
             raise ReducibleChainError("chain is reducible")
     z = fundamental_matrix(P, pi)  # checks that pi is stationary for P
+    deviation = np.subtract(z, pi[None, :])
     return ChainAnalysis(
         matrix=P,
         pi=pi,
         z=z,
         z_diag=np.diag(z).copy(),
-        discrepancy=discrepancy_of(z, pi),
+        discrepancy=float(np.abs(deviation, out=deviation).sum(axis=1).max()),
     )
 
-
-def return_time_moments(analysis: ChainAnalysis, i: int) -> tuple:
-    """(mean, second moment) of the return time to terminal i.
-
-    For an irreducible chain the mean is 1/pi_i and the second moment is
-    -1/pi_i + 2 z_ii / pi_i^2.
-    """
-    pi_i = float(analysis.pi[i])
-    z_ii = float(analysis.z_diag[i])
-    mean = 1.0 / pi_i
-    second = -1.0 / pi_i + 2.0 * z_ii / pi_i ** 2
-    return mean, second

@@ -66,7 +66,6 @@ class AgeTrace:
     horizon: int
     ages: np.ndarray       # ages[t-1, i] = A_i(t)
     visit_log: np.ndarray  # visit_log[t-1] = agent location at slot t
-    peaks: list            # per-terminal list of ages recorded at visit slots
 
 
 def _terminal_dtype(n: int):
@@ -179,13 +178,11 @@ def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: 
     visits = np.concatenate([positions[:-1] for _, positions, _ in log]).astype(int)
     slots = np.arange(1, len(visits) + 1)
     ages = np.empty((len(visits), g.n), dtype=np.int64)
-    peaks = []
     for i in range(g.n):
         visited = np.concatenate(([0], np.flatnonzero(visits == i) + 1))
         # the age in slot t counts from the last visit strictly before t
         ages[:, i] = slots - visited[np.searchsorted(visited, slots) - 1]
-        peaks.append(np.diff(visited).tolist())
-    return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits, peaks=peaks)
+    return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits)
 
 
 def _check_window(horizon: int, burn_in: int | None, default: int | None = None,

@@ -53,6 +53,10 @@ class SolverOptions:
 
     max_iterations: int = 5000
 
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, not {self.max_iterations}")
+
 
 _PATIENCE = 200             # stop once the best objective stalls this long
 _IMPROVEMENT_TOL = 1e-8

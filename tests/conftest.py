@@ -48,6 +48,12 @@ def random_chain(g, seed, hold=True):
     return TransitionMatrix(p)
 
 
+def return_time_moments(analysis, i):
+    """(E[T], E[T^2]) of the return time to i: 1/pi_i and (2 z_ii - pi_i)/pi_i^2 (Kemeny-Snell)."""
+    pi_i, z_ii = float(analysis.pi[i]), float(analysis.z_diag[i])
+    return 1.0 / pi_i, (2.0 * z_ii - pi_i) / pi_i ** 2
+
+
 def random_connected_graph(n, seed):
     """Ring backbone plus random chords: always connected, varied shape."""
     rng = np.random.default_rng(seed)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from age_patrol import (AgeReport, TransitionMatrix, analytic_ages, analyze,
-                        average_age_lower_bound, average_age_upper_bound,
-                        build_mh, peak_optimal_value)
+                        average_age_lower_bound, build_mh, peak_optimal_value)
 from conftest import random_chain, random_connected_graph
 
 
@@ -55,10 +54,9 @@ def test_lower_bound_rejects_nonpositive():
 
 
 def test_upper_bound_two_cycle(two_cycle_analysis):
-    bound = average_age_upper_bound(two_cycle_analysis, [1.0, 1.0])
-    assert bound == pytest.approx(4.0)  # 0.5 * 4 + 2
     report = analytic_ages(two_cycle_analysis, [1.0, 1.0])
-    assert report.network_avg <= bound
+    assert report.upper_bound_avg == pytest.approx(4.0)  # 0.5 * 4 + 2
+    assert report.network_avg <= report.upper_bound_avg
 
 
 def test_upper_bound_dominates_iid_chain():
@@ -66,7 +64,7 @@ def test_upper_bound_dominates_iid_chain():
     analysis = analyze(TransitionMatrix(np.tile(pi, (4, 1))))
     w = np.array([1.0, 2.0, 1.5, 1.0])
     report = analytic_ages(analysis, w)
-    assert report.network_avg <= average_age_upper_bound(analysis, w)
+    assert report.network_avg <= report.upper_bound_avg
 
 
 def test_bounds_bracket_on_random_chains():

@@ -122,20 +122,14 @@ def test_replications_disagreeing_with_seeds_is_usage_error(runner, tmp_path, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, args, env", [
-    ("simulate", ["--jobs", "-3"], None),
-    ("simulate", ["--jobs", "0"], None),
-    ("simulate", ["--config", "jobs0.json"], None),
-    ("simulate", [], "abc"),
-    ("simulate", [], "0"),
-    ("reproduce", ["--jobs", "0"], None),
-    ("reproduce", [], "-2"),
-], ids=["flag-negative", "flag-zero", "config-zero", "env-text", "env-zero",
-        "reproduce-flag-zero", "reproduce-env-negative"])
-def test_bad_job_count_is_usage_error(runner, tmp_path, monkeypatch, command, args, env):
-    # each of these used to run serially, or with the environment's default, and exit 0
-    if env is not None:
-        monkeypatch.setenv("AGE_PATROL_JOBS", env)
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--jobs", "-3"]),
+    ("simulate", ["--jobs", "0"]),
+    ("simulate", ["--config", "jobs0.json"]),
+    ("reproduce", ["--jobs", "0"]),
+], ids=["flag-negative", "flag-zero", "config-zero", "reproduce-flag-zero"])
+def test_bad_job_count_is_usage_error(runner, tmp_path, monkeypatch, command, args):
+    # each of these used to run serially and exit 0
     monkeypatch.chdir(tmp_path)
     (tmp_path / "jobs0.json").write_text(json.dumps({"jobs": 0}))
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", "g.json"])
@@ -240,17 +234,6 @@ def test_simulate_parallel_jobs_match_serial(runner, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_jobs_env_variable_default(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("AGE_PATROL_JOBS", "2")
-    graph_path = tmp_path / "g.json"
-    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
-    out = tmp_path / "runs.csv"
-    result = invoke(runner, ["simulate", "--graph", str(graph_path), "--policy", "mh",
-                             "--horizon", "2000", "--seeds", "1,2", "-o", str(out)])
-    assert result.exit_code == 0, result.output
-    assert len(read_csv(out)) == 3
-
-
 def test_simulate_config_file(runner, tmp_path):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
@@ -312,6 +295,47 @@ def test_disseminate_with_report_and_events(runner, tmp_path):
     assert "hard_checks" in payload
     event_rows = read_csv(events)
     assert set(r["event"] for r in event_rows) <= {"arrive", "deliver", "move"}
+
+
+def test_design_zero_max_iterations_runs_no_solver_iteration(runner, tmp_path):
+    # 0 used to read as "not given" and run the default cap (1460 iterations here)
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", "1", "-o", str(graph_path)])
+    result = invoke(runner, ["design", "--graph", str(graph_path), "--method", "fastest",
+                             "--max-iterations", "0"])
+    assert result.exit_code == 0, result.output
+    assert "(iterations 0, converged False)" in result.output
+
+
+@pytest.mark.parametrize("command", ["design", "reproduce"])
+def test_negative_iteration_count_is_usage_error(runner, tmp_path, command):
+    # design exited 3 with numpy's "negative dimensions are not allowed"; reproduce
+    # failed every sweep point with it, then exited 0 with empty CSVs
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", "1", "-o", str(graph_path)])
+    if command == "design":
+        args = ["design", "--graph", str(graph_path), "--method", "fastest",
+                "--max-iterations", "-3"]
+    else:
+        args = ["reproduce", "--figure", "fig4", "--out-dir", str(tmp_path / "sweep"),
+                "--sizes", "10", "--horizon", "500", "--solver-iterations", "-2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "iterations" in result.output
+    assert not (tmp_path / "sweep" / "fig4.csv").exists()
+
+
+@pytest.mark.parametrize("figure, sizes", [("fig6", "9,10,12"), ("all", "10"), ("fig6", "1")])
+def test_reproduce_grid_size_that_is_not_a_square_is_usage_error(runner, tmp_path, figure,
+                                                                 sizes):
+    # fig6 --sizes 9,10,12 used to write 12 rows, all labelled n=9
+    out_dir = tmp_path / "sweep"
+    result = runner.invoke(main, ["reproduce", "--figure", figure, "--out-dir", str(out_dir),
+                                  "--sizes", sizes, "--horizon", "500",
+                                  "--solver-iterations", "10"])
+    assert result.exit_code == 2, result.output
+    assert "grid sizes must be squares" in result.output
+    assert not out_dir.exists()
 
 
 def test_reproduce_fig4_schema(runner, tmp_path):

@@ -9,15 +9,14 @@ from scipy import stats as scipy_stats
 from age_patrol import (AgeStats, DesignResult, DiscreteLaw, DisseminationPolicy,
                         QueueBacklogWarning, QueueModelParams, StabilityError,
                         TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
-                        berg1_vacation_system_time, build_fastest_mixing, dissemination,
-                        dissemination_report, generate_grid_diag, generate_random_geometric,
-                        generate_ring_k, optimal_utilization, policy_from_design,
-                        return_time_moments, separation_policy, simulate_berg1_vacation,
+                        build_fastest_mixing, dissemination, dissemination_report,
+                        generate_grid_diag, generate_random_geometric, generate_ring_k,
+                        policy_from_design, separation_policy, simulate_berg1_vacation,
                         simulate_dissemination, simulate_randomized, simulation,
                         terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
 from age_patrol.trajectory_design import build_mh
-from conftest import make_complete
+from conftest import make_complete, return_time_moments
 
 
 def swap_design():
@@ -33,7 +32,8 @@ D2 = DiscreteLaw.deterministic(2)
 def test_vacation_peak_worked_example():
     params = QueueModelParams.from_laws(0.25, D2, D2)
     assert berg1_vacation_peak_age(params) == pytest.approx(7.0, abs=1e-12)
-    assert berg1_vacation_system_time(params) == pytest.approx(3.0, abs=1e-12)
+    # the system time: the peak age less the mean interarrival time
+    assert berg1_vacation_peak_age(params) - 1 / 0.25 == pytest.approx(3.0, abs=1e-12)
 
 
 def test_vacation_peak_small_rate_floor():
@@ -409,7 +409,7 @@ def test_terminal_bound_two_cycle(swap_matrix):
     analysis = analyze(swap_matrix)
     assert terminal_age_upper_bound(analysis, 0, 2.0 / 3.0) == pytest.approx(6.5, abs=1e-12)
     # the optimum utilization reproduces the closed-form minimum
-    rho_star = optimal_utilization(0.75, 0.5)
+    rho_star = float(policy_from_design(swap_design()).rho[0])
     assert rho_star == pytest.approx(2.0 / 3.0, abs=1e-15)
     z, pi = 0.75, 0.5
     closed_form = (z - pi + 2.0 * math.sqrt(z - pi) + 2.0) / pi

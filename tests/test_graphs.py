@@ -29,6 +29,25 @@ def test_geometric_matches_reference_distance_check():
     assert set(g.edges) == expected
 
 
+@pytest.mark.parametrize("side", range(2, 12))
+def test_grid_matches_reference_chebyshev_distance(side):
+    # independent oracle: cells at Chebyshev distance 1 on the lattice
+    g = generate_grid_diag(side)
+    cells = [divmod(u, side) for u in range(side * side)]
+    expected = {(u, v) for u, (r, c) in enumerate(cells) for v, (rr, cc) in enumerate(cells)
+                if max(abs(r - rr), abs(c - cc)) == 1}
+    assert set(g.edges) == expected
+
+
+def test_ring_matches_reference_circular_distance():
+    # independent oracle: terminals at circular distance 1..k
+    for n in range(3, 40):
+        for k in range(1, (n - 1) // 2 + 1):
+            expected = {(i, j) for i in range(n) for j in range(n)
+                        if 0 < min((i - j) % n, (j - i) % n) <= k}
+            assert set(generate_ring_k(n, k).edges) == expected, (n, k)
+
+
 def test_geometric_matches_reference_at_scale_radius():
     # r = 2/sqrt(n), the radius of the n=2000 analytics benchmark, on a smaller n
     n = 300

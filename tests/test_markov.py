@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from age_patrol import (NumericalError, PeriodicityWarning,
                         ReducibleChainError, TransitionMatrix, analyze, assign_weights,
                         build_mh, check_irreducible, fundamental_matrix,
-                        generate_random_geometric, generate_ring_k,
-                        return_time_moments, simulate_randomized, slem,
-                        stationary_distribution)
+                        generate_random_geometric, generate_ring_k, simulate_randomized,
+                        slem, stationary_distribution)
 from age_patrol import markov
 from age_patrol.markov import _fundamental_residual, _fundamental_system
-from conftest import random_chain, random_connected_graph
+from conftest import random_chain, random_connected_graph, return_time_moments
 
 
 def iid_chain(pi):

@@ -73,12 +73,11 @@ def test_trace_invariants(triangle):
     for t in range(len(trace.visit_log) - 1):
         a, b = int(trace.visit_log[t]), int(trace.visit_log[t + 1])
         assert a == b or triangle.has_edge(a, b)
-    # trace ages at visit slots equal recorded peaks, and peaks are the gaps
+    # trace ages at visit slots equal the gaps between visits
     for i in range(3):
         slots = np.flatnonzero(trace.visit_log == i) + 1
-        assert np.array_equal(ages[slots - 1, i], np.array(trace.peaks[i]))
         gaps = np.diff(np.concatenate([[0], slots]))
-        assert np.array_equal(gaps, np.array(trace.peaks[i]))
+        assert np.array_equal(ages[slots - 1, i], gaps)
 
 
 def test_peak_mean_equals_visit_gap_mean(triangle):
@@ -86,7 +85,9 @@ def test_peak_mean_equals_visit_gap_mean(triangle):
     stats, trace = simulate_randomized(triangle, design.matrix, 50_000, burn_in=0, seed=8,
                                        record_trace=True)
     for i in range(3):
-        assert stats.per_terminal_peak[i] == pytest.approx(np.mean(trace.peaks[i]))
+        slots = np.flatnonzero(trace.visit_log == i) + 1
+        gaps = np.diff(np.concatenate([[0], slots]))
+        assert stats.per_terminal_peak[i] == pytest.approx(np.mean(gaps))
 
 
 def test_age_based_tree_walk_is_depth_first():

@@ -117,6 +117,13 @@ def test_fastest_mixing_objective_never_worse_than_warm_start():
     assert design.objective <= mh_objective + 1e-12
 
 
+def test_solver_options_reject_a_negative_iteration_count():
+    # numpy used to reject it deep in the solver ("negative dimensions are not allowed")
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverOptions(max_iterations=-1)
+    assert build_fastest_mixing(make_complete(3), SolverOptions(max_iterations=0)).iterations == 0
+
+
 def test_fastest_mixing_feasibility_residuals():
     rng = np.random.default_rng(23)
     g = generate_ring_k(10, 3).with_weights(rng.uniform(1.0, 2.0, size=10))
