@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .aoi_analysis import analytic_ages, average_age_lower_bound, peak_optimal_value
+from .aoi_analysis import analytic_ages
 # perfbench/tracer.py wraps policy_from_design and separation_policy as CLI globals
 from .dissemination import (EVENT_CSV_FIELDS, _policy, policy_from_design,  # noqa: F401
                             separation_policy, simulate_dissemination, dissemination_report)
@@ -54,6 +54,12 @@ SWEEP_BASE_SEED = 1
 # graph family -> the network sizes n its figures sweep by default
 SWEEP_SIZES = {"geometric": GEOMETRIC_SIZES, "grid": [side * side for side in GRID_SIDES],
                "ring": RING_SIZES}
+# graph family -> (the rule its sweep sizes must meet, the test of one size)
+SWEEP_SIZE_RULES = {
+    "geometric": ("at least 2", lambda n: n >= 2),
+    "grid": ("squares of a side >= 2", lambda n: n >= 4 and math.isqrt(n) ** 2 == n),
+    "ring": (f"at least {2 * RING_RADIUS + 1}", lambda n: n >= 2 * RING_RADIUS + 1),
+}
 
 _AVG_ROWS = (("mh", "mh_avg"), ("fastest_mixing", "fastest_avg"),
              ("age_based", "age_based_avg"), ("lower_bound", "lower_bound"))
@@ -260,11 +266,7 @@ class ExperimentConfig(JsonRecord):
     def load(path) -> "ExperimentConfig":
         """Read a config file; a key, type or choice the CLI would not accept is a usage error."""
         try:
-            payload = read_json(path)
-            cfg = ExperimentConfig.from_json(payload)
-            unknown = set(payload) - {f.name for f in fields(cfg)}
-            if unknown:
-                raise ValueError(f"unknown keys {sorted(unknown)}")
+            cfg = ExperimentConfig.from_json(read_json(path), strict=True)
             if cfg.policy not in POLICIES:
                 raise ValueError(f"policy must be one of {POLICIES}, not {cfg.policy!r}")
         except ValueError as exc:  # json.JSONDecodeError included
@@ -457,9 +459,7 @@ def _sweep_point(args) -> dict:
         "mh_peak": mh_report.network_peak, "mh_avg": mh_report.network_avg,
         "fastest_peak": fast_report.network_peak, "fastest_avg": fast_report.network_avg,
         "age_based_peak": age_stats.network_peak, "age_based_avg": age_stats.network_avg,
-        "lower_bound": average_age_lower_bound(g.weights),
-        "peak_opt": peak_optimal_value(g.weights),
-        "objective": fast.objective,
+        "lower_bound": mh_report.lower_bound_avg,
     }
     if need_dissemination:
         policy = _policy(fast_analysis).validate()
@@ -477,8 +477,8 @@ def _figure_rows(figure, points) -> list:
 @main.command("reproduce")
 @click.option("--figure", type=click.Choice(sorted(FIGURES) + ["all"]), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--horizon", type=int, default=50_000)
-@click.option("--base-seed", type=int, default=SWEEP_BASE_SEED)
+@click.option("--horizon", type=click.IntRange(min=1), default=50_000)
+@click.option("--base-seed", type=click.IntRange(min=0), default=SWEEP_BASE_SEED)
 @click.option("--sizes", callback=_int_list, help="comma-separated size override for the sweep")
 @click.option("--solver-iterations", type=click.IntRange(min=0), default=SWEEP_SOLVER_ITERATIONS)
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
@@ -492,10 +492,11 @@ def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations,
         entry = families.setdefault(family, {"sizes": set(), "diss": False})
         entry["sizes"].update(sizes or SWEEP_SIZES[family])
         entry["diss"] = entry["diss"] or any(key == "dissemination_avg" for _, key in columns)
-    grid_sizes = families["grid"]["sizes"] if "grid" in families else ()
-    non_squares = sorted(n for n in grid_sizes if n < 4 or math.isqrt(n) ** 2 != n)
-    if non_squares:
-        raise click.UsageError(f"grid sizes must be squares of a side >= 2, not {non_squares}")
+    for family, entry in families.items():
+        rule, fits = SWEEP_SIZE_RULES[family]
+        bad = sorted(n for n in entry["sizes"] if not fits(n))
+        if bad:
+            raise click.UsageError(f"{family} sizes must be {rule}, not {bad}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

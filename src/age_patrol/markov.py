@@ -17,10 +17,8 @@ irreducible row-stochastic matrix P, which `analyze` computes:
   surrogate.
 
 The SLEM (second-largest eigenvalue modulus), a classical mixing
-diagnostic no age formula uses, is computed only when
-`ChainAnalysis.slem` is first read; for a reversible chain it comes from
-a symmetric eigensolver on S.  `_symmetrized` is the one builder of S and
-of its asymmetry, for the SLEM and the Cholesky inverse alike.
+diagnostic no age formula uses, is computed from the general
+eigensolver only when `ChainAnalysis.slem` is first read.
 
 Dense linear algebra throughout: instances stay small (n <= 2000), so
 exactly testable O(n^3) solves beat iterative machinery.  At n = 2000 an
@@ -30,11 +28,11 @@ residual check works a block of rows at a time from P, and elementwise
 steps write into an array the routine already holds.
 
 Irreducibility is strong connectivity of the support digraph, so the
-breadth-first search behind it (`bfs_tree`, with `bfs_distances` and
-`strongly_connected` on it) lives here too; it also serves the graph
-checks and the brute-force search.  A `TransitionMatrix` keeps the
-breadth-first tree of its support, which gives the detailed balance walk
-its tree and the residual check its row order.
+breadth-first search behind it (`bfs_tree`, with `strongly_connected` on
+it) lives here too; it also serves the graph checks and the brute-force
+search.  A `TransitionMatrix` keeps the breadth-first tree of its
+support, which gives the detailed balance walk its tree and the residual
+check its row order.
 `JsonRecord` is the one JSON codec of the package's records, graphs
 included, and `read_json`/`write_json` its one file reader and writer.
 `_inverse_cdf` is the one inverse-CDF sampling table, of walk rows and
@@ -58,8 +56,6 @@ from .constants import TOL
 from .errors import NumericalError, PeriodicityWarning, ReducibleChainError
 
 _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
-# largest ||S - S^T||_inf / 2 at which slem trusts the symmetric eigensolver
-_SYMMETRIC_SPECTRUM_TOL = 1e-10
 # largest max|S - S^T| / (eps max|S|) at which the Cholesky inverse takes S as
 # symmetric: MH chains at n = 300-2000 read up to 12 with a detailed-balance pi
 # and up to 3 with their closed-form pi
@@ -183,21 +179,25 @@ class JsonRecord:
     frozenset is read as a set of such rows), leaves an absent field with a
     default at that default and ignores unknown keys, so a record can
     travel inside a larger payload.  A missing required key or an
-    ill-typed value raises ValueError.
+    ill-typed value raises ValueError, and so, with ``strict``, does an
+    unknown key in the record or in any record nested in it.
     """
 
     def to_json(self) -> dict:
         return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_json(cls, payload: dict):
+    def from_json(cls, payload: dict, strict: bool = False):
         if not isinstance(payload, dict):
             raise ValueError(f"{cls.__name__} JSON must be an object")
+        unknown = strict and set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{cls.__name__} JSON has unknown keys {sorted(unknown)}")
         hints = get_type_hints(cls)
         values = {}
         for f in fields(cls):
             if f.name in payload:
-                values[f.name] = _decode(cls, f, hints[f.name], payload[f.name])
+                values[f.name] = _decode(cls, f, hints[f.name], payload[f.name], strict)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{cls.__name__} JSON lacks the key {f.name!r}")
         return cls(**values)
@@ -236,7 +236,7 @@ def _numbers(value: list, kinds) -> bool:
                else isinstance(x, kinds) and not isinstance(x, bool) for x in value)
 
 
-def _decode(cls, f, hint, value):
+def _decode(cls, f, hint, value, strict):
     args = get_args(hint)  # only optional fields (`X | None`, `X | Y | None`) have args
     if args and value is None:
         return None
@@ -250,7 +250,7 @@ def _decode(cls, f, hint, value):
                          f"{' or '.join(_JSON_NAMES[t] for t in kinds.values())}, "
                          f"not {type(value).__name__}")
     if issubclass(kind, JsonRecord):
-        return kind.from_json(value)
+        return kind.from_json(value, strict)
     try:
         if kinds[kind] is not list:
             return kind(value)
@@ -293,7 +293,7 @@ class ChainAnalysis:
     @cached_property
     def slem(self) -> float:
         """`slem` of the chain, computed on first read (it may warn PeriodicityWarning)."""
-        return slem(self.matrix, self.pi)
+        return slem(self.matrix)
 
     def validate(self) -> None:
         """Re-check the defining residuals; raises on violation, a NaN included."""
@@ -326,16 +326,6 @@ def bfs_tree(adjacency, source: int) -> tuple:
                 parent[v] = u
                 order.append(v)
     return order, parent
-
-
-def bfs_distances(adjacency, source: int) -> list:
-    """Hop distances from source along the adjacency lists; -1 marks unreachable."""
-    order, parent = bfs_tree(adjacency, source)
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    for v in order[1:]:
-        dist[v] = dist[parent[v]] + 1
-    return dist
 
 
 def strongly_connected(adjacency) -> bool:
@@ -396,19 +386,6 @@ def _fundamental_residual(P: TransitionMatrix, pi: np.ndarray, z: np.ndarray) ->
     return float(np.max(worst))  # np.max, unlike max, keeps a NaN
 
 
-def _symmetrized(p: np.ndarray, pi: np.ndarray) -> tuple:
-    """(S, |S - S^T|) for S = D^1/2 P D^-1/2, D = diag(pi), in two n x n arrays.
-
-    S is similar to P, and symmetric exactly when P is reversible with
-    stationary distribution pi.
-    """
-    root = np.sqrt(pi)
-    s = np.multiply(p, root[:, None])
-    s /= root[None, :]
-    gap = np.subtract(s, s.T)
-    return s, np.abs(gap, out=gap)
-
-
 def _invert_lower(l: np.ndarray) -> None:
     """Invert the lower-triangular l in place, by halves as LAPACK's trtri does.
 
@@ -430,22 +407,26 @@ def _invert_lower(l: np.ndarray) -> None:
 def _reversible_inverse(p: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
     """Z = M^-1 through a Cholesky factor; None if S is not symmetric or the factor fails.
 
-    D^1/2 M D^-1/2 = I - S + sqrt(pi) sqrt(pi)^T.  When max|S - S^T| is at
-    most `_SYMMETRIC_INVERSE_ULPS` eps max|S|, np.linalg.cholesky, which
-    reads only the lower triangle, factors A = L L^T, the symmetric matrix
-    on that triangle; A is within half that asymmetry of
-    I - (S + S^T)/2 + sqrt(pi) sqrt(pi)^T.  For an irreducible reversible
-    chain A is positive definite: the eigenvalues 1 - lambda of I - S are
-    positive except on sqrt(pi), a unit vector, which A maps to itself.
-    With l = L^-1, Z = D^-1/2 l^T l D^1/2.
+    D^1/2 M D^-1/2 = I - S + sqrt(pi) sqrt(pi)^T for S = D^1/2 P D^-1/2,
+    which is symmetric exactly when P is reversible with stationary
+    distribution pi.  When max|S - S^T| is at most `_SYMMETRIC_INVERSE_ULPS`
+    eps max|S|, np.linalg.cholesky, which reads only the lower triangle,
+    factors A = L L^T, the symmetric matrix on that triangle; A is within
+    half that asymmetry of I - (S + S^T)/2 + sqrt(pi) sqrt(pi)^T.  For an
+    irreducible reversible chain A is positive definite: the eigenvalues
+    1 - lambda of I - S are positive except on sqrt(pi), a unit vector,
+    which A maps to itself.  With l = L^-1, Z = D^-1/2 l^T l D^1/2.
     """
-    a, gap = _symmetrized(p, pi)  # a holds S until A overwrites it
+    root = np.sqrt(pi)
+    a = np.multiply(p, root[:, None])  # a holds S until A overwrites it
+    a /= root[None, :]
+    gap = np.subtract(a, a.T)
+    np.abs(gap, out=gap)
     if not gap.max() <= _SYMMETRIC_INVERSE_ULPS * np.finfo(float).eps * a.max():
         return None
     del gap
     np.negative(a, out=a)
     a.flat[::p.shape[0] + 1] += 1.0
-    root = np.sqrt(pi)
     a += np.outer(root, root)
     try:
         l = np.linalg.cholesky(a)
@@ -543,31 +524,14 @@ def fundamental_matrix(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
     return z
 
 
-def slem(P: TransitionMatrix, pi: np.ndarray | None = None) -> float:
-    """Second-largest eigenvalue modulus of P.
-
-    With a positive ``pi`` the spectrum is read from S = D^1/2 P D^-1/2,
-    D = diag(pi), which is similar to P.  When S is symmetric to within
-    ``_SYMMETRIC_SPECTRUM_TOL`` (a reversible chain with its stationary
-    pi), the eigenvalues of (S + S^T)/2 lie within ||S - S^T||_inf / 2 of
-    those of P (Bauer-Fike), so the symmetric eigensolver answers;
-    otherwise the general eigensolver does.
+def slem(P: TransitionMatrix) -> float:
+    """Second-largest eigenvalue modulus of P, from the general eigensolver.
 
     Emits a PeriodicityWarning when a second eigenvalue sits on the unit
     circle (periodic chain): the value is then 1 and mixing surrogates
     carry no information.
     """
-    moduli = None
-    if pi is not None and np.all(np.asarray(pi) > 0):
-        s, work = _symmetrized(P.p, np.asarray(pi, dtype=float))
-        if work.sum(axis=1).max() / 2 <= _SYMMETRIC_SPECTRUM_TOL:
-            np.add(s, s.T, out=work)
-            del s  # eigvalsh copies its input; S is not needed beside that copy
-            work /= 2
-            moduli = np.abs(np.linalg.eigvalsh(work))
-    if moduli is None:
-        moduli = np.abs(np.linalg.eigvals(P.p))
-    moduli = np.sort(moduli)[::-1]
+    moduli = np.sort(np.abs(np.linalg.eigvals(P.p)))[::-1]
     value = float(moduli[1]) if len(moduli) > 1 else 0.0
     if value >= _PERIODIC_EIGENVALUE_CUTOFF:
         warnings.warn("chain is periodic; SLEM equals 1 and mixing diagnostics are meaningless",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .aoi_analysis import average_age_lower_bound
 from .graphs import MobilityGraph
-from .markov import _GUIDE_BUCKETS, JsonRecord, TransitionMatrix, bfs_distances
+from .markov import _GUIDE_BUCKETS, JsonRecord, TransitionMatrix, bfs_tree
 
 # longest horizon whose per-slot trace or event log a run may record
 TRACE_HORIZON_LIMIT = 100_000
@@ -185,11 +185,10 @@ def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: 
     return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits)
 
 
-def _check_window(horizon: int, burn_in: int | None, default: int | None = None,
-                  trace: bool = False) -> int:
+def _check_window(horizon: int, burn_in: int | None, trace: bool = False) -> int:
     """Resolve the default burn-in and validate the window (burn_in, horizon]."""
     if burn_in is None:
-        burn_in = horizon // 50 if default is None else default
+        burn_in = horizon // 50
     if not 0 <= burn_in < horizon:
         raise ValueError("need horizon > burn_in >= 0")
     if trace and horizon > TRACE_HORIZON_LIMIT:
@@ -366,7 +365,8 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
             raise ValueError(f"sequence uses a non-edge: ({a}, {b})")
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
-    burn_in = _check_window(horizon, burn_in, default=length, trace=record_trace)
+    burn_in = _check_window(horizon, length if burn_in is None else burn_in,
+                            trace=record_trace)
     tour = np.array(seq, dtype=_terminal_dtype(g.n))
     chunks = ((t0, tour[np.arange(t0 - 1, min(t0 + _WALK_BUFFER, horizon + 1)) % length])
               for t0 in range(1, horizon + 1, _WALK_BUFFER))
@@ -391,7 +391,13 @@ def brute_force_optimal_periodic(g: MobilityGraph, max_period: int):
     w = g.weights
     n = g.n
     nbrs = g.neighbors
-    dist = [bfs_distances(nbrs, src) for src in range(n)]
+    dist = []  # hop distances, down the breadth-first tree of each terminal
+    for src in range(n):
+        order, parent = bfs_tree(nbrs, src)
+        d = [0] * n  # the graph is strongly connected, so the tree spans it
+        for v in order[1:]:
+            d[v] = d[parent[v]] + 1
+        dist.append(d)
     lower_bound = average_age_lower_bound(w)
     full_mask = (1 << n) - 1
 

@@ -69,6 +69,14 @@ def test_analyze_peak(chain):
     assert peak_arrays(lambda: analyze(design.matrix)) <= 3.1
 
 
+def test_slem_read_holds_no_square_copy(chain):
+    # eigvals traces only the boolean n x n array of its finiteness check (1/8 of a
+    # float64 array); its LAPACK work arrays are not traced
+    design, _ = chain
+    analysis = analyze(design.matrix)
+    assert peak_arrays(lambda: analysis.slem) <= 0.25
+
+
 def test_stationary_distribution_of_a_reversible_chain_builds_no_square_system(chain):
     design, _ = chain
     assert peak_arrays(lambda: stationary_distribution(design.matrix)) <= 0.5

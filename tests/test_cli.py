@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from age_patrol import cli, dissemination, load_graph
+from age_patrol import average_age_lower_bound, cli, dissemination, load_graph
 from age_patrol.cli import EXIT_VALIDATION, RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
 
 
@@ -338,6 +338,34 @@ def test_reproduce_grid_size_that_is_not_a_square_is_usage_error(runner, tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--figure", "fig7", "--sizes", "5,6"], "ring sizes must be at least 7, not [5, 6]"),
+    (["--figure", "fig5", "--sizes", "1,10"], "geometric sizes must be at least 2, not [1]"),
+    (["--figure", "fig5", "--sizes", "10,20", "--horizon", "0"], "--horizon"),
+    (["--figure", "fig5", "--sizes", "10", "--base-seed", "-50"], "--base-seed"),
+], ids=["small-ring", "small-geometric", "zero-horizon", "negative-seed"])
+def test_reproduce_arguments_no_sweep_point_can_run_are_usage_errors(runner, tmp_path, args,
+                                                                     message):
+    # each failed every sweep point, wrote header-only CSVs and exited 0
+    out_dir = tmp_path / "sweep"
+    result = runner.invoke(main, ["reproduce", "--out-dir", str(out_dir),
+                                  "--solver-iterations", "10", "--horizon", "500", *args])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("need_dissemination", [False, True])
+def test_sweep_point_holds_only_what_a_figure_reads(need_dissemination):
+    point = cli._sweep_point(("geometric", 10, 1, 2000, 20, need_dissemination))
+    read = {key for _, _, columns in cli.FIGURES.values() for _, key in columns}
+    if not need_dissemination:
+        read.discard("dissemination_avg")
+    assert set(point) == {"family", "n"} | read
+    g = cli._sweep_graph("geometric", 10, 1)
+    assert point["lower_bound"] == average_age_lower_bound(g.weights)
+
+
 def test_reproduce_fig4_schema(runner, tmp_path):
     out_dir = tmp_path / "sweep"
     result = invoke(runner, ["reproduce", "--figure", "fig4", "--out-dir", str(out_dir),
@@ -592,10 +620,14 @@ def test_disseminate_rejects_design_whose_pi_is_not_a_distribution(runner, tmp_p
     '{"graph": "g.json",',
     {"seeds": [[1], [2]]},
     {"policy": "age_based", "g_fn": "identity"},
+    # an unknown key in an inline spec or in its weights used to be ignored
+    {"graph": {"family": "ring", "n": 12, "kk": 1}},
+    {"graph": {"family": "ring", "n": 12, "weights": {"mode": "uniform", "hgh": 3}}},
 ], ids=["list", "string-horizon", "string-rate-scale", "unknown-policy", "string-seed",
         "float-seed", "bool-seed", "number-graph", "number-output", "number-report",
         "fraction-sequence", "string-sequence", "inline-string-radius", "inline-number-weights",
-        "inline-string-lo", "inline-string-hi", "invalid-json", "nested-seeds", "removed-g-fn"])
+        "inline-string-lo", "inline-string-hi", "invalid-json", "nested-seeds", "removed-g-fn",
+        "inline-unknown-key", "inline-unknown-weights-key"])
 def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
@@ -606,6 +638,7 @@ def test_bad_config_file_is_usage_error(runner, tmp_path, payload):
     result = runner.invoke(main, ["simulate", "--config", str(cfg)])
     assert result.exit_code == 2, result.output
     assert "config" in result.output
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--seeds", "a,b"), ("--sequence", "0,1,x"),
