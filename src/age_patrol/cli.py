@@ -23,14 +23,13 @@ import click
 import numpy as np
 
 from .aoi_analysis import analytic_ages
-# perfbench/tracer.py wraps policy_from_design and separation_policy as CLI globals
-from .dissemination import (EVENT_CSV_FIELDS, _policy, policy_from_design,  # noqa: F401
-                            separation_policy, simulate_dissemination, dissemination_report)
+from .dissemination import (EVENT_CSV_FIELDS, policy_from_design, separation_policy,
+                            simulate_dissemination, dissemination_report)
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
-from .markov import JsonRecord, analyze, read_json, write_json
-from .simulation import (TRACE_HORIZON_LIMIT, _check_window, simulate_age_based,
+from .markov import JsonRecord, read_json, write_json
+from .simulation import (TRACE_HORIZON_LIMIT, check_window, simulate_age_based,
                          simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
                                 design_objective)
@@ -207,8 +206,7 @@ def cmd_design(graph_path, method, max_iterations, output):
     else:
         opts = None if max_iterations is None else SolverOptions(max_iterations=max_iterations)
         design = build_fastest_mixing(g, opts)
-    analysis = analyze(design.matrix, pi=design.target_pi)
-    report = analytic_ages(analysis, g.weights)
+    report = analytic_ages(design.analysis, g.weights)
     objective = design.objective
     if objective is None:
         objective = design_objective(design.matrix.p, design.target_pi)
@@ -263,12 +261,18 @@ class ExperimentConfig(JsonRecord):
     report: str | None = None
 
     @staticmethod
-    def load(path) -> "ExperimentConfig":
-        """Read a config file; a key, type or choice the CLI would not accept is a usage error."""
+    def load(path, policies=POLICIES) -> "ExperimentConfig":
+        """Read a config file; a key, type or choice the command would not accept is a usage error.
+
+        `policies` are those the command runs; the first is its default.
+        """
         try:
-            cfg = ExperimentConfig.from_json(read_json(path), strict=True)
-            if cfg.policy not in POLICIES:
-                raise ValueError(f"policy must be one of {POLICIES}, not {cfg.policy!r}")
+            payload = read_json(path)
+            cfg = ExperimentConfig.from_json(payload, strict=True)
+            if "policy" not in payload:
+                cfg.policy = policies[0]
+            if cfg.policy not in policies:
+                raise ValueError(f"policy must be one of {policies}, not {cfg.policy!r}")
         except ValueError as exc:  # json.JSONDecodeError included
             raise click.UsageError(f"config file {path}: {exc}") from None
         return cfg
@@ -288,7 +292,7 @@ class ExperimentConfig(JsonRecord):
         if not (math.isfinite(self.rate_scale) and self.rate_scale > 0):
             raise click.UsageError(f"rate_scale must be a finite number > 0, "
                                    f"not {self.rate_scale!r}")
-        _check_window(self.horizon, self.burn_in)  # a bad window is a validation error
+        check_window(self.horizon, self.burn_in)  # a bad window is a validation error
         if self.policy == "periodic" and not self.sequence:
             raise click.UsageError("periodic policy needs a visit sequence")
         if self.output is None:
@@ -321,9 +325,10 @@ def _experiment_options(fn):
     return functools.reduce(lambda f, option: option(f), reversed(_EXPERIMENT_OPTIONS), fn)
 
 
-def _experiment(flags: dict) -> ExperimentConfig:
+def _experiment(flags: dict, policies=POLICIES) -> ExperimentConfig:
     """The config file (or the defaults) with every flag the user gave on top, validated."""
-    cfg = ExperimentConfig.load(flags["config"]) if flags["config"] else ExperimentConfig()
+    cfg = (ExperimentConfig.load(flags["config"], policies) if flags["config"]
+           else ExperimentConfig(policy=policies[0]))
     for f in fields(cfg):
         if flags.get(f.name) is not None:
             setattr(cfg, f.name, flags[f.name])
@@ -409,21 +414,21 @@ def cmd_simulate(trace_path, **flags):
 @_cli_errors
 def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""
-    cfg = _experiment(dict(flags, policy="separation"))
+    cfg = _experiment(flags, policies=("separation",))
     g = cfg.resolve_graph()
     if design_path:
         design = DesignResult.from_json(read_json(design_path))
     else:
         design = build_fastest_mixing(g)
-    analysis = analyze(design.matrix, pi=design.target_pi)
-    policy = _policy(analysis).validate()
+    policy = separation_policy(g, design=design)
     if cfg.rate_scale != 1.0:
-        policy = _policy(analysis, rates=policy.rates * cfg.rate_scale)
+        policy = policy_from_design(design, rates=policy.rates * cfg.rate_scale)
 
     run = functools.partial(_dissemination_run, g, policy, cfg.horizon, cfg.burn_in, cfg.start)
     stats, events = _replicate(run, cfg, record=bool(events_path))
     if cfg.report:
-        report = dissemination_report(policy, stats[-1], g.weights)
+        # replication 0, the one --events records
+        report = dissemination_report(policy, stats[0], g.weights)
         write_json(cfg.report, report)
         click.echo(f"wrote report -> {cfg.report}")
     if events_path:
@@ -450,9 +455,8 @@ def _sweep_point(args) -> dict:
     mh = build_mh(g)
     opts = SolverOptions(max_iterations=solver_iterations)
     fast = build_fastest_mixing(g, opts)
-    mh_report = analytic_ages(analyze(mh.matrix, pi=mh.target_pi), g.weights)
-    fast_analysis = analyze(fast.matrix, pi=fast.target_pi)
-    fast_report = analytic_ages(fast_analysis, g.weights)
+    mh_report = analytic_ages(mh.analysis, g.weights)
+    fast_report = analytic_ages(fast.analysis, g.weights)
     age_stats = simulate_age_based(g, horizon=horizon, start=0)
     point = {
         "family": family, "n": g.n,
@@ -462,7 +466,7 @@ def _sweep_point(args) -> dict:
         "lower_bound": mh_report.lower_bound_avg,
     }
     if need_dissemination:
-        policy = _policy(fast_analysis).validate()
+        policy = separation_policy(g, design=fast)
         diss = simulate_dissemination(g, policy, horizon, seed=base_seed + 1, start=0)
         point["dissemination_avg"] = diss.network_avg
     return point
@@ -485,6 +489,8 @@ def _figure_rows(figure, points) -> list:
 @_cli_errors
 def cmd_reproduce(figure, out_dir, horizon, base_seed, sizes, solver_iterations, jobs):
     """Sweep network size per graph family and emit one CSV per figure id."""
+    if sizes == []:
+        raise click.UsageError("--sizes lists no size")
     figures = sorted(FIGURES) if figure == "all" else [figure]
     families = {}
     for fig in figures:

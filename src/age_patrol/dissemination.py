@@ -46,8 +46,8 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
-from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze
-from .simulation import AgeStats, _AgeEngine, _check_run, _check_window, _count, _groups, _walk
+from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf
+from .simulation import AgeStats, _AgeEngine, _check_run, _count, _groups, _walk, check_window
 from .trajectory_design import DesignResult, build_fastest_mixing
 
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
@@ -182,12 +182,11 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     ends, starting the next activity on the following slot, so the loop
     steps from one activity end to the next.  Arrivals are drawn first, as
     geometric gaps (`_bernoulli_arrivals`), then one uniform per duration
-    from `rng.random(_WALK_BUFFER)` buffers, as `_walk` draws them;
-    fixed-seed outputs differ from versions that drew a uniform per slot.
+    from `rng.random(_WALK_BUFFER)` buffers, as `_walk` draws them.
     """
     if not 0 < lam < 1:
         raise ValueError("arrival probability must lie in (0, 1)")
-    burn_in = _check_window(horizon, burn_in)
+    burn_in = check_window(horizon, burn_in)
     rng = np.random.default_rng(seed)
     arrivals = _bernoulli_arrivals(rng, lam, horizon).tolist()
     svc = _inverse_cdf(service.probs, service.values)
@@ -266,11 +265,7 @@ class DisseminationPolicy(JsonRecord):
 
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     """Attach rates to an existing trajectory design (default: optimal rates)."""
-    return _policy(analyze(design.matrix, pi=design.target_pi), rates)
-
-
-def _policy(analysis: ChainAnalysis, rates=None) -> DisseminationPolicy:
-    """`policy_from_design` for a caller that already holds the design's analysis."""
+    analysis = design.analysis
     pi = analysis.pi
     slack = analysis.z_diag - pi
     if slack.min() < -1e-10:

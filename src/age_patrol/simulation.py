@@ -185,7 +185,7 @@ def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: 
     return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits)
 
 
-def _check_window(horizon: int, burn_in: int | None, trace: bool = False) -> int:
+def check_window(horizon: int, burn_in: int | None, trace: bool = False) -> int:
     """Resolve the default burn-in and validate the window (burn_in, horizon]."""
     if burn_in is None:
         burn_in = horizon // 50
@@ -205,7 +205,7 @@ def _check_run(g: MobilityGraph, P: TransitionMatrix | None, horizon: int,
             raise ValueError("matrix dimension does not match the graph")
         if P.support_violations(g):
             raise ValueError("matrix places probability on non-edges of the graph")
-    burn_in = _check_window(horizon, burn_in, trace=trace)
+    burn_in = check_window(horizon, burn_in, trace=trace)
     if not 0 <= start < g.n:
         raise ValueError("start terminal out of range")
     return burn_in
@@ -365,7 +365,7 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
             raise ValueError(f"sequence uses a non-edge: ({a}, {b})")
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
-    burn_in = _check_window(horizon, length if burn_in is None else burn_in,
+    burn_in = check_window(horizon, length if burn_in is None else burn_in,
                             trace=record_trace)
     tour = np.array(seq, dtype=_terminal_dtype(g.n))
     chunks = ((t0, tour[np.arange(t0 - 1, min(t0 + _WALK_BUFFER, horizon + 1)) % length])

@@ -27,10 +27,12 @@ sqrt(weight) (which minimizes network peak age):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import markov
 from .constants import TOL
 from .errors import GraphValidationError, SolverError
 from .graphs import MobilityGraph
@@ -45,6 +47,12 @@ class DesignResult(JsonRecord):
     iterations: int = 0
     converged: bool = True
     residuals: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def analysis(self) -> markov.ChainAnalysis:
+        """The chain analyzed at its target pi, on first read; not a field, so not serialized."""
+        # through the module, so that a wrapper on markov.analyze sees the call
+        return markov.analyze(self.matrix, pi=self.target_pi)
 
 
 @dataclass(frozen=True)

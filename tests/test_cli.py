@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from age_patrol import average_age_lower_bound, cli, dissemination, load_graph
+from age_patrol import average_age_lower_bound, cli, load_graph, markov
 from age_patrol.cli import EXIT_VALIDATION, RUN_CSV_FIELDS, SWEEP_CSV_FIELDS, main
 
 
@@ -297,6 +297,67 @@ def test_disseminate_with_report_and_events(runner, tmp_path):
     assert set(r["event"] for r in event_rows) <= {"arrive", "deliver", "move"}
 
 
+def test_disseminate_report_describes_the_first_replication(runner, tmp_path):
+    # the report used to describe the last replication, the event log the first
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", "2", "-o", str(graph_path)])
+    out = tmp_path / "diss.csv"
+    report = tmp_path / "report.json"
+    result = invoke(runner, ["disseminate", "--graph", str(graph_path), "--horizon", "5000",
+                             "--seeds", "5,6", "--report", str(report), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    first, second = read_csv(out)[:2]
+    assert (first["seed"], second["seed"]) == ("5", "6")
+    assert first["network_peak"] != second["network_peak"]
+    network = json.loads(report.read_text())["network"]
+    assert repr(network["empirical_peak"]) == first["network_peak"]
+    assert repr(network["empirical_avg"]) == first["network_avg"]
+
+
+@pytest.mark.parametrize("policy, exit_code", [
+    ("separation", 0), (None, 0), ("mh", 2), ("fastest", 2), ("age_based", 2), ("periodic", 2),
+    ("bogus", 2)])
+def test_disseminate_config_runs_only_the_separation_policy(runner, tmp_path, policy,
+                                                            exit_code):
+    # "separation", the policy every row names, used to be a usage error, and a gathering
+    # policy used to be accepted and silently replaced by the separation policy
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "6", "--k", "1", "-o", str(graph_path)])
+    out = tmp_path / "diss.csv"
+    payload = {"graph": str(graph_path), "horizon": 2000, "sequence": [0, 1, 2, 3, 4, 5],
+               "output": str(out)}
+    if policy is not None:
+        payload["policy"] = policy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["disseminate", "--config", str(cfg)])
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert "policy must be one of ('separation',)" in result.output
+        assert not out.exists()
+    else:
+        assert {r["policy"] for r in read_csv(out)} == {"separation"}
+
+
+@pytest.mark.parametrize("policy", [*cli.POLICIES, None])
+def test_simulate_config_keeps_its_four_policies(runner, tmp_path, policy):
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "6", "--k", "1", "-o", str(graph_path)])
+    out = tmp_path / "runs.csv"
+    payload = {"graph": str(graph_path), "horizon": 600, "sequence": [0, 1, 2, 3, 4, 5],
+               "output": str(out)}
+    if policy is not None:
+        payload["policy"] = policy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    result = invoke(runner, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert {r["policy"] for r in read_csv(out)} == {policy or "mh"}
+    cfg.write_text(json.dumps(dict(payload, policy="separation")))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "policy must be one of" in result.output
+
 def test_design_zero_max_iterations_runs_no_solver_iteration(runner, tmp_path):
     # 0 used to read as "not given" and run the default cap (1460 iterations here)
     graph_path = tmp_path / "g.json"
@@ -343,7 +404,11 @@ def test_reproduce_grid_size_that_is_not_a_square_is_usage_error(runner, tmp_pat
     (["--figure", "fig5", "--sizes", "1,10"], "geometric sizes must be at least 2, not [1]"),
     (["--figure", "fig5", "--sizes", "10,20", "--horizon", "0"], "--horizon"),
     (["--figure", "fig5", "--sizes", "10", "--base-seed", "-50"], "--base-seed"),
-], ids=["small-ring", "small-geometric", "zero-horizon", "negative-seed"])
+    # an empty size list used to run the whole default sweep
+    (["--figure", "fig5", "--sizes", ","], "--sizes lists no size"),
+    (["--figure", "all", "--sizes", ""], "--sizes lists no size"),
+], ids=["small-ring", "small-geometric", "zero-horizon", "negative-seed", "empty-sizes",
+        "blank-sizes"])
 def test_reproduce_arguments_no_sweep_point_can_run_are_usage_errors(runner, tmp_path, args,
                                                                      message):
     # each failed every sweep point, wrote header-only CSVs and exited 0
@@ -539,14 +604,13 @@ def test_first_replication_records_without_a_rerun(runner, tmp_path, monkeypatch
 
 def test_each_design_is_analyzed_once(runner, tmp_path, monkeypatch):
     matrices = []
-    original = cli.analyze
+    original = markov.analyze
 
     def counted(P, *args, **kwargs):
         matrices.append(id(P))
         return original(P, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "analyze", counted)
-    monkeypatch.setattr(dissemination, "analyze", counted)
+    monkeypatch.setattr(markov, "analyze", counted)
     # a fig8 sweep point analyzes its MH and its fastest-mixing design
     point = cli._sweep_point(("geometric", 10, 1, 2000, 100, True))
     assert "dissemination_avg" in point

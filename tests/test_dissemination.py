@@ -12,7 +12,7 @@ from age_patrol import (AgeStats, DesignResult, DiscreteLaw, DisseminationPolicy
                         build_fastest_mixing, dissemination, dissemination_report,
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
                         policy_from_design, separation_policy, simulate_berg1_vacation,
-                        simulate_dissemination, simulate_randomized, simulation,
+                        markov, simulate_dissemination, simulate_randomized, simulation,
                         terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
 from age_patrol.trajectory_design import build_mh
@@ -457,6 +457,28 @@ def test_policy_json_round_trip():
     assert np.allclose(clone.upper_bounds, policy.upper_bounds)
     assert clone.discrepancy == policy.discrepancy
 
+
+def test_a_design_is_analyzed_once_across_its_policies(monkeypatch):
+    calls = []
+    original = markov.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(markov, "analyze", counted)
+    g = generate_ring_k(9, 2)
+    design = build_mh(g)
+    analysis = design.analysis
+    assert design.analysis is analysis
+    optimal = policy_from_design(design)
+    halved = policy_from_design(design, rates=optimal.rates / 2)
+    separation = separation_policy(g, design=design)
+    assert len(calls) == 1
+    assert calls[0][0] is design.matrix
+    assert np.array_equal(analysis.pi, original(design.matrix, pi=design.target_pi).pi)
+    assert np.array_equal(separation.rates, optimal.rates)
+    assert np.array_equal(halved.rates, optimal.rates / 2)
 
 def test_simulate_dissemination_rejects_a_matrix_off_the_graph():
     # a design built on another graph of the same size used to walk along non-edges

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,13 @@ def test_design_json_round_trip(triangle):
     assert np.allclose(clone.matrix.p, design.matrix.p)
     assert np.allclose(clone.target_pi, design.target_pi)
 
+
+def test_reading_the_analysis_leaves_the_json_unchanged(triangle):
+    design = build_mh(triangle)
+    before = json.dumps(design.to_json(), sort_keys=True)
+    assert np.allclose(design.analysis.pi, design.target_pi)
+    assert "analysis" in vars(design)  # cached on the instance
+    assert json.dumps(design.to_json(), sort_keys=True) == before
 
 def _reference_dykstra(feas, x, tol, max_sweeps):
     """Dykstra as first written: the projection and the residual test each
