@@ -28,7 +28,8 @@ from .dissemination import (EVENT_CSV_FIELDS, policy_from_design, separation_pol
 from .errors import (GraphValidationError, NumericalError, SolverError, StabilityError)
 from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
-from .markov import JsonRecord, read_json, write_json
+# analyze is unused here, but perfbench/tracer.py wraps it as a global of this module
+from .markov import JsonRecord, analyze, read_json, write_json  # noqa: F401
 from .simulation import (TRACE_HORIZON_LIMIT, check_window, simulate_age_based,
                          simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
@@ -248,7 +249,7 @@ class ExperimentConfig(JsonRecord):
     """
 
     graph: str | GraphSpec | None = None
-    policy: str = "mh"
+    policy: str | None = None  # None: the command's default
     sequence: list | None = field(default=None, metadata={"dtype": int})
     horizon: int = 50_000
     burn_in: int | None = None
@@ -261,21 +262,12 @@ class ExperimentConfig(JsonRecord):
     report: str | None = None
 
     @staticmethod
-    def load(path, policies=POLICIES) -> "ExperimentConfig":
-        """Read a config file; a key, type or choice the command would not accept is a usage error.
-
-        `policies` are those the command runs; the first is its default.
-        """
+    def load(path) -> "ExperimentConfig":
+        """Read a config file; an unknown key or a bad type is a usage error."""
         try:
-            payload = read_json(path)
-            cfg = ExperimentConfig.from_json(payload, strict=True)
-            if "policy" not in payload:
-                cfg.policy = policies[0]
-            if cfg.policy not in policies:
-                raise ValueError(f"policy must be one of {policies}, not {cfg.policy!r}")
+            return ExperimentConfig.from_json(read_json(path), strict=True)
         except ValueError as exc:  # json.JSONDecodeError included
             raise click.UsageError(f"config file {path}: {exc}") from None
-        return cfg
 
     def validate(self) -> None:
         if self.graph is None:
@@ -326,12 +318,19 @@ def _experiment_options(fn):
 
 
 def _experiment(flags: dict, policies=POLICIES) -> ExperimentConfig:
-    """The config file (or the defaults) with every flag the user gave on top, validated."""
-    cfg = (ExperimentConfig.load(flags["config"], policies) if flags["config"]
-           else ExperimentConfig(policy=policies[0]))
+    """The config file (or the defaults) with every flag the user gave on top, validated.
+
+    `policies` are those the command runs; the first is its default.
+    """
+    cfg = ExperimentConfig.load(flags["config"]) if flags["config"] else ExperimentConfig()
     for f in fields(cfg):
         if flags.get(f.name) is not None:
             setattr(cfg, f.name, flags[f.name])
+    if cfg.policy is None:
+        cfg.policy = policies[0]
+    if cfg.policy not in policies:  # a --policy flag is one of them, so the file named it
+        raise click.UsageError(f"config file {flags['config']}: policy must be one of "
+                               f"{policies}, not {cfg.policy!r}")
     cfg.validate()
     return cfg
 

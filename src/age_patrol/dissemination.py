@@ -46,7 +46,8 @@ import numpy as np
 from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
-from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf
+# analyze is unused here, but perfbench/tracer.py wraps it as a global of this module
+from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze  # noqa: F401
 from .simulation import AgeStats, _AgeEngine, _check_run, _count, _groups, _walk, check_window
 from .trajectory_design import DesignResult, build_fastest_mixing
 
@@ -266,8 +267,7 @@ class DisseminationPolicy(JsonRecord):
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
     """Attach rates to an existing trajectory design (default: optimal rates)."""
     analysis = design.analysis
-    pi = analysis.pi
-    slack = analysis.z_diag - pi
+    pi, slack = analysis.pi, analysis.z_diag - analysis.pi
     if slack.min() < -1e-10:
         raise NumericalError(
             f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")

@@ -50,8 +50,7 @@ class DesignResult(JsonRecord):
 
     @functools.cached_property
     def analysis(self) -> markov.ChainAnalysis:
-        """The chain analyzed at its target pi, on first read; not a field, so not serialized."""
-        # through the module, so that a wrapper on markov.analyze sees the call
+        """The chain analyzed at its target pi on first read, via `markov.analyze`; not a field."""
         return markov.analyze(self.matrix, pi=self.target_pi)
 
 

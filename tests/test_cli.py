@@ -358,6 +358,7 @@ def test_simulate_config_keeps_its_four_policies(runner, tmp_path, policy):
     assert result.exit_code == 2, result.output
     assert "policy must be one of" in result.output
 
+
 def test_design_zero_max_iterations_runs_no_solver_iteration(runner, tmp_path):
     # 0 used to read as "not given" and run the default cap (1460 iterations here)
     graph_path = tmp_path / "g.json"
