@@ -366,7 +366,7 @@ def simulate_periodic(g: MobilityGraph, sequence, horizon: int,
     if horizon % length != 0:
         raise ValueError("horizon must be a multiple of the period")
     burn_in = check_window(horizon, length if burn_in is None else burn_in,
-                            trace=record_trace)
+                           trace=record_trace)
     tour = np.array(seq, dtype=_terminal_dtype(g.n))
     chunks = ((t0, tour[np.arange(t0 - 1, min(t0 + _WALK_BUFFER, horizon + 1)) % length])
               for t0 in range(1, horizon + 1, _WALK_BUFFER))
