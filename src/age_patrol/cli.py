@@ -317,15 +317,20 @@ def _experiment_options(fn):
     return functools.reduce(lambda f, option: option(f), reversed(_EXPERIMENT_OPTIONS), fn)
 
 
-def _experiment(flags: dict, policies=POLICIES) -> ExperimentConfig:
+def _experiment(flags: dict, policies=POLICIES, unread=()) -> ExperimentConfig:
     """The config file (or the defaults) with every flag the user gave on top, validated.
 
-    `policies` are those the command runs; the first is its default.
+    `policies` are those the command runs; the first is its default.  The
+    command never reads the keys in `unread` (nor has flags for them), so a
+    config file may leave them only at their defaults.
     """
     cfg = ExperimentConfig.load(flags["config"]) if flags["config"] else ExperimentConfig()
     for f in fields(cfg):
         if flags.get(f.name) is not None:
             setattr(cfg, f.name, flags[f.name])
+        if f.name in unread and getattr(cfg, f.name) != f.default:
+            raise click.UsageError(f"config file {flags['config']}: this command does not "
+                                   f"read the key {f.name!r}")
     if cfg.policy is None:
         cfg.policy = policies[0]
     if cfg.policy not in policies:  # a --policy flag is one of them, so the file named it
@@ -383,7 +388,7 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 @_cli_errors
 def cmd_simulate(trace_path, **flags):
     """Run gathering simulations and write per-replication plus aggregate CSV rows."""
-    cfg = _experiment(flags)
+    cfg = _experiment(flags, unread=("rate_scale", "report"))
     if cfg.policy in ("age_based", "periodic"):
         # these walks draw no random numbers: every seed would repeat the first row
         cfg.seeds = cfg.seed_list()[:1]
@@ -395,9 +400,9 @@ def cmd_simulate(trace_path, **flags):
                             cfg.burn_in, cfg.start, matrix)
     _, trace = _replicate(run, cfg, record=bool(trace_path))
     if trace_path:
+        rows = enumerate(zip(trace.visit_log.tolist(), trace.slot_ages()), 1)
         _write_csv(trace_path, ["t", "m"] + [f"A_{i}" for i in range(g.n)],
-                   ([t + 1, int(trace.visit_log[t])] + trace.ages[t].tolist()
-                    for t in range(trace.horizon)))
+                   ([t, m] + ages.tolist() for t, (m, ages) in rows))
         click.echo(f"wrote trace -> {trace_path}")
 
 
@@ -413,7 +418,7 @@ def cmd_simulate(trace_path, **flags):
 @_cli_errors
 def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""
-    cfg = _experiment(flags, policies=("separation",))
+    cfg = _experiment(flags, policies=("separation",), unread=("sequence",))
     g = cfg.resolve_graph()
     if design_path:
         design = DesignResult.from_json(read_json(design_path))

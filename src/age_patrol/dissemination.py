@@ -32,6 +32,11 @@ that is to >= (1 - pi_i) / 2, as rounding in Z can put a deterministic
 return time's variance ulps below 0.  The bound is minimized at
 rho_i = 1 / (1 + sqrt(z_ii - pi_i)), the rate rule of the separation
 policy on top of the fastest-mixing trajectory.
+
+The bound and the simulated ages need every queue stable, so a
+`DisseminationPolicy` is checked where it is built, by any route:
+0 <= lambda_i < pi_i for every terminal, else StabilityError.  A zero
+rate is stable but never delivers, and its bound is infinite.
 """
 
 from __future__ import annotations
@@ -241,7 +246,7 @@ def terminal_age_upper_bound(analysis: ChainAnalysis, i, rho_i):
 
 @dataclass(frozen=True, eq=False)
 class DisseminationPolicy(JsonRecord):
-    """A trajectory plus per-terminal update generation rates."""
+    """A trajectory plus per-terminal update generation rates, stable by construction."""
 
     matrix: TransitionMatrix
     target_pi: np.ndarray
@@ -249,19 +254,17 @@ class DisseminationPolicy(JsonRecord):
     upper_bounds: np.ndarray
     discrepancy: float
 
+    def __post_init__(self):
+        if not len(self.rates) == len(self.target_pi) == self.matrix.n:
+            raise ValueError("rates and target_pi must have one entry per terminal of the matrix")
+        # every queue stable; written so that a NaN rate or a NaN pi_i fails it
+        if not (np.all(self.rates >= 0) and np.all(self.rates < self.target_pi)):
+            raise StabilityError("rates must satisfy 0 <= lambda_i < pi_i (rho_i < 1)")
+
     @property
     def rho(self) -> np.ndarray:
         """Queue utilizations lambda_i / pi_i."""
         return self.rates / self.target_pi
-
-    def validate(self) -> "DisseminationPolicy":
-        """Return the policy if every rate is stable and every bound finite; raise otherwise."""
-        # written so that a NaN rate fails
-        if not (np.all(self.rates > 0) and np.all(self.rates < self.target_pi)):
-            raise StabilityError("rates must satisfy 0 < lambda_i < pi_i")
-        if not np.all(np.isfinite(self.upper_bounds)):
-            raise NumericalError("upper bounds must be finite")
-        return self
 
 
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
@@ -290,7 +293,7 @@ def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> D
     """
     if design is None:
         design = build_fastest_mixing(g)
-    return policy_from_design(design).validate()
+    return policy_from_design(design)
 
 
 def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizon: int,
@@ -312,11 +315,6 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     counts through gathering's loop with `_Queues.serve` as delivery rule.
     """
     burn_in = _check_run(g, policy.matrix, horizon, burn_in, start, record_events)
-    if len(policy.rates) != g.n:
-        raise ValueError("policy dimension does not match the graph")
-    # written so that a NaN rate or utilization fails
-    if not (np.all(policy.rates >= 0) and np.all(policy.rates <= 1) and np.all(policy.rho < 1)):
-        raise StabilityError("need 0 <= lambda_i <= 1 and rho_i < 1 for every terminal")
 
     rng = np.random.default_rng(seed)
     arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]

@@ -63,9 +63,23 @@ class AgeStats(JsonRecord):
 
 @dataclass(frozen=True, eq=False)
 class AgeTrace:
+    """The visit log of a gathering run, from which every slot's ages follow."""
+
     horizon: int
-    ages: np.ndarray       # ages[t-1, i] = A_i(t)
+    n: int                 # terminals
     visit_log: np.ndarray  # visit_log[t-1] = agent location at slot t
+
+    def slot_ages(self):
+        """Yield A(t), the n ages in slot t, for t = 1..horizon, from a running last visit."""
+        last = np.zeros(self.n, dtype=np.int64)  # last visit strictly before t (0 = never)
+        for t, m in enumerate(self.visit_log.tolist(), 1):
+            yield t - last
+            last[m] = t
+
+    @property
+    def ages(self) -> np.ndarray:
+        """ages[t-1, i] = A_i(t), a horizon x n int64 array built on each read."""
+        return np.stack(list(self.slot_ages()))
 
 
 def _terminal_dtype(n: int):
@@ -176,13 +190,7 @@ def _gather(g: MobilityGraph, chunks, horizon: int, burn_in: int, record_trace: 
     if not record_trace:
         return stats
     visits = np.concatenate([positions[:-1] for _, positions, _ in log]).astype(int)
-    slots = np.arange(1, len(visits) + 1)
-    ages = np.empty((len(visits), g.n), dtype=np.int64)
-    for i in range(g.n):
-        visited = np.concatenate(([0], np.flatnonzero(visits == i) + 1))
-        # the age in slot t counts from the last visit strictly before t
-        ages[:, i] = slots - visited[np.searchsorted(visited, slots) - 1]
-    return stats, AgeTrace(horizon=len(visits), ages=ages, visit_log=visits)
+    return stats, AgeTrace(horizon=len(visits), n=g.n, visit_log=visits)
 
 
 def check_window(horizon: int, burn_in: int | None, trace: bool = False) -> int:

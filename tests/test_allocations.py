@@ -5,17 +5,20 @@ in a process's peak memory.  These tests run at n = 600 and count the peak
 of traced allocations (numpy reports its array buffers to tracemalloc) in
 units of one n x n float64 array, over what was allocated before the call.
 LAPACK's own work buffers are not traced.  The walk simulators hold one
-chunk of slots at a time, so their peak must not grow with the horizon.
+chunk of slots at a time, so their peak must not grow with the horizon,
+and `simulate --trace` writes its rows from the visit log.
 """
 
 import math
 import tracemalloc
 
 import pytest
+from click.testing import CliRunner
 
 from age_patrol import (DesignResult, analyze, assign_weights, build_mh, design_objective,
-                        generate_random_geometric, generate_ring_k, simulate_age_based,
-                        simulate_randomized, stationary_distribution)
+                        generate_random_geometric, generate_ring_k, save_graph,
+                        simulate_age_based, simulate_randomized, stationary_distribution)
+from age_patrol.cli import main
 
 N = 600
 RADIUS = 2.0 / math.sqrt(N)
@@ -102,3 +105,15 @@ def test_walk_simulators_hold_one_chunk(simulator):
             "randomized": lambda horizon: simulate_randomized(g, matrix, horizon)}
     run = runs[simulator]
     assert peak_arrays(lambda: run(500_000)) <= 1.5 * peak_arrays(lambda: run(62_500))
+
+
+def test_simulate_trace_holds_no_age_matrix(tmp_path):
+    # the horizon x n int64 age matrix the trace was written from took 15.3 MiB here
+    graph_path, trace_path = tmp_path / "g.json", tmp_path / "trace.csv"
+    save_graph(generate_random_geometric(200, 2.0 / math.sqrt(200), seed=1), graph_path)
+    args = ["simulate", "--graph", str(graph_path), "--policy", "mh", "--horizon", "10000",
+            "--trace", str(trace_path), "-o", str(tmp_path / "runs.csv")]
+    runner = CliRunner()
+    peak = peak_arrays(lambda: runner.invoke(main, args, catch_exceptions=False)) * UNIT
+    assert len(trace_path.read_text().splitlines()) == 10_001
+    assert peak < 8 * 2**20

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
@@ -324,8 +325,7 @@ def test_disseminate_config_runs_only_the_separation_policy(runner, tmp_path, po
     graph_path = tmp_path / "g.json"
     invoke(runner, ["graph", "--family", "ring", "--n", "6", "--k", "1", "-o", str(graph_path)])
     out = tmp_path / "diss.csv"
-    payload = {"graph": str(graph_path), "horizon": 2000, "sequence": [0, 1, 2, 3, 4, 5],
-               "output": str(out)}
+    payload = {"graph": str(graph_path), "horizon": 2000, "output": str(out)}
     if policy is not None:
         payload["policy"] = policy
     cfg = tmp_path / "cfg.json"
@@ -337,6 +337,29 @@ def test_disseminate_config_runs_only_the_separation_policy(runner, tmp_path, po
         assert not out.exists()
     else:
         assert {r["policy"] for r in read_csv(out)} == {"separation"}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "report", "r.json"), ("simulate", "rate_scale", 5),
+    ("disseminate", "sequence", [0, 1, 2, 3, 4, 5])])
+def test_config_key_the_command_never_reads_is_usage_error(runner, tmp_path, command, key,
+                                                           value):
+    # simulate used to exit 0 without writing the report, and disseminate ignored sequence
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "6", "--k", "1", "-o", str(graph_path)])
+    out, report = tmp_path / "o.csv", tmp_path / "r.json"
+    payload = {"graph": str(graph_path), "horizon": 1000, "output": str(out)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(payload, **{key: value})))
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"does not read the key {key!r}" in result.output
+    assert not out.exists() and not report.exists()
+    # the key's default value sets nothing, so it stays accepted
+    default = {f.name: f.default for f in fields(cli.ExperimentConfig)}[key]
+    cfg.write_text(json.dumps(dict(payload, **{key: default})))
+    assert invoke(runner, [command, "--config", str(cfg)]).exit_code == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("policy", [*cli.POLICIES, None])
@@ -514,6 +537,18 @@ def test_disseminate_bad_rate_scale_is_usage_error(runner, tmp_path, scale, sour
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "rate_scale" in result.output
+    assert not out.exists()
+
+
+def test_disseminate_unstable_rate_scale_is_validation_error(runner, tmp_path):
+    # rates three times the separation rates put rho_i >= 1 on some terminal
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "9", "--k", "2", "-o", str(graph_path)])
+    out = tmp_path / "diss.csv"
+    result = runner.invoke(main, ["disseminate", "--graph", str(graph_path), "--horizon", "5000",
+                                  "--rate-scale", "3", "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert "0 <= lambda_i < pi_i" in result.output
     assert not out.exists()
 
 

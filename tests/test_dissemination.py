@@ -389,10 +389,11 @@ def test_policy_rates_follow_the_scalar_rule(design_case):
 
 
 def test_policy_bound_is_infinite_outside_the_stable_range():
-    policy = policy_from_design(swap_design(), rates=[0.5, 0.25])
+    # a zero rate is stable but never delivers; rho_i = 1 is no policy at all
+    policy = policy_from_design(swap_design(), rates=[0.0, 0.25])
     assert policy.upper_bounds.tolist() == [math.inf, 7.0]  # the worked example
-    policy = policy_from_design(swap_design(), rates=[0.0, 0.6])
-    assert np.all(np.isinf(policy.upper_bounds))
+    with pytest.raises(StabilityError):
+        policy_from_design(swap_design(), rates=[0.5, 0.25])
 
 
 def test_terminal_bound_takes_an_index_array():
@@ -447,7 +448,7 @@ def test_separation_policy_rates_below_pi():
     policy = separation_policy(g)
     assert np.all(policy.rates > 0)
     assert np.all(policy.rates < policy.target_pi)
-    policy.validate()
+    assert np.all(np.isfinite(policy.upper_bounds))
 
 
 def test_policy_json_round_trip():
@@ -502,29 +503,36 @@ def test_dissemination_zero_rates_ages_grow(k2, swap_matrix):
     assert np.allclose(stats.per_terminal_avg, (horizon + 1) / 2.0)
 
 
-def _policy_with_rates(swap_matrix, rates, target_pi=(0.5, 0.5)):
-    return DisseminationPolicy(
-        matrix=swap_matrix, target_pi=np.array(target_pi), rates=np.array(rates),
-        upper_bounds=np.full(2, 7.0), discrepancy=0.5)
+def _policy_by(route, matrix, rates, target_pi):
+    """Build a policy on `matrix` by one of the routes that build one."""
+    if route == "policy_from_design":
+        return policy_from_design(DesignResult(matrix, np.array(target_pi)), rates=rates)
+    if route == "from_json":
+        payload = policy_from_design(swap_design()).to_json()
+        return DisseminationPolicy.from_json(dict(payload, rates=rates, target_pi=target_pi))
+    return DisseminationPolicy(matrix=matrix, target_pi=np.array(target_pi),
+                               rates=np.array(rates), upper_bounds=np.full(2, 7.0),
+                               discrepancy=0.5)
 
 
-# a NaN rate used to pass these checks and generate no packet at all; a NaN
-# target_pi makes the utilization rho = rates / target_pi NaN
-@pytest.mark.parametrize("rates, target_pi", [
-    ([math.nan, 0.2], [0.5, 0.5]),
-    ([0.2, 0.2], [math.nan, 0.5]),
-    ([-0.1, 0.2], [0.5, 0.5]),
-], ids=["nan-rate", "nan-rho", "negative-rate"])
-def test_simulate_dissemination_rejects_nan_or_negative_rates(k2, swap_matrix, rates,
-                                                              target_pi):
-    with pytest.raises(StabilityError):
-        simulate_dissemination(k2, _policy_with_rates(swap_matrix, rates, target_pi), 1000,
-                               seed=0)
-
-
-def test_policy_validate_rejects_nan_rates(swap_matrix):
-    with pytest.raises(StabilityError):
-        _policy_with_rates(swap_matrix, [math.nan, 0.2]).validate()
+# a NaN rate once passed the simulator's check and generated no packet at all, and a
+# NaN target_pi makes rho = rates / target_pi NaN; through policy_from_design a NaN
+# target_pi is refused by analyze (ValueError) before any rate is set
+@pytest.mark.parametrize("rates, target_pi, error", [
+    ([math.nan, 0.2], [0.5, 0.5], StabilityError),
+    ([0.2, 0.2], [math.nan, 0.5], ValueError),
+    ([-0.1, 0.2], [0.5, 0.5], StabilityError),
+    ([0.5, 0.2], [0.5, 0.5], StabilityError),
+    ([0.6, 0.2], [0.5, 0.5], StabilityError),
+    ([0.2, 0.2, 0.2], [0.5, 0.5], ValueError),
+], ids=["nan-rate", "nan-pi", "negative-rate", "rate-equals-pi", "rho-above-1",
+        "wrong-length"])
+@pytest.mark.parametrize("route", ["constructor", "policy_from_design", "from_json"])
+def test_an_unstable_or_misshapen_policy_cannot_be_built(swap_matrix, route, rates,
+                                                         target_pi, error):
+    match = None if route == "policy_from_design" else "lambda_i|entry per terminal"
+    with pytest.raises(error, match=match):
+        _policy_by(route, swap_matrix, rates, target_pi)
 
 
 def test_dissemination_peaks_within_bound_k2(k2):

@@ -50,8 +50,11 @@ def records(draw):
                             draw(st.none() | finite), draw(st.integers(0, 10**6)),
                             draw(st.booleans()),
                             draw(st.dictionaries(st.text(max_size=4), finite, max_size=3)))
-    return DisseminationPolicy(draw(stochastic_matrices(n)),
-                               *[draw(vectors(n)) for _ in range(3)], draw(finite))
+    # a policy is stable, 0 <= rate < pi_i; a normal pi_i keeps pi_i * u below pi_i
+    target_pi = draw(vectors(n, st.floats(1e-300, 1e300)))
+    u = draw(vectors(n, st.floats(0.0, 1.0, exclude_max=True)))
+    return DisseminationPolicy(draw(stochastic_matrices(n)), target_pi, target_pi * u,
+                               draw(vectors(n)), draw(finite))
 
 
 def _arrays(record):
