@@ -535,6 +535,26 @@ def test_an_unstable_or_misshapen_policy_cannot_be_built(swap_matrix, route, rat
         _policy_by(route, swap_matrix, rates, target_pi)
 
 
+# a NaN rate used to reach the simulator and generate no packet at all; such a
+# policy is now refused before simulate_dissemination can run it
+@pytest.mark.parametrize("rates, target_pi", [
+    ([math.nan, 0.2], [0.5, 0.5]),
+    ([0.2, 0.2], [math.nan, 0.5]),
+    ([-0.1, 0.2], [0.5, 0.5]),
+], ids=["nan-rate", "nan-rho", "negative-rate"])
+def test_simulate_dissemination_rejects_nan_or_negative_rates(k2, swap_matrix, rates,
+                                                              target_pi):
+    with pytest.raises(StabilityError, match="lambda_i"):
+        simulate_dissemination(k2, _policy_by("constructor", swap_matrix, rates, target_pi),
+                               1000, seed=0)
+
+
+def test_policy_validate_rejects_nan_rates(swap_matrix):
+    # the rate check runs where the policy is built
+    with pytest.raises(StabilityError, match="lambda_i"):
+        _policy_by("constructor", swap_matrix, [math.nan, 0.2], [0.5, 0.5])
+
+
 def test_dissemination_peaks_within_bound_k2(k2):
     policy = policy_from_design(swap_design())
     stats = simulate_dissemination(k2, policy, 1_000_000, burn_in=10_000, seed=3)
