@@ -281,6 +281,8 @@ class ExperimentConfig(JsonRecord):
             raise click.UsageError("jobs must be >= 1")
         if not self.seed_list():
             raise click.UsageError("the seed list is empty")
+        if min(self.seed_list()) < 0:
+            raise click.UsageError(f"seeds must be >= 0, not {min(self.seed_list())}")
         if not (math.isfinite(self.rate_scale) and self.rate_scale > 0):
             raise click.UsageError(f"rate_scale must be a finite number > 0, "
                                    f"not {self.rate_scale!r}")
@@ -420,10 +422,8 @@ def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""
     cfg = _experiment(flags, policies=("separation",), unread=("sequence",))
     g = cfg.resolve_graph()
-    if design_path:
-        design = DesignResult.from_json(read_json(design_path))
-    else:
-        design = build_fastest_mixing(g)
+    design = (DesignResult.from_json(read_json(design_path)) if design_path
+              else build_fastest_mixing(g))
     policy = separation_policy(g, design=design)
     if cfg.rate_scale != 1.0:
         policy = policy_from_design(design, rates=policy.rates * cfg.rate_scale)

@@ -33,10 +33,11 @@ return time's variance ulps below 0.  The bound is minimized at
 rho_i = 1 / (1 + sqrt(z_ii - pi_i)), the rate rule of the separation
 policy on top of the fastest-mixing trajectory.
 
-The bound and the simulated ages need every queue stable, so a
-`DisseminationPolicy` is checked where it is built, by any route:
-0 <= lambda_i < pi_i for every terminal, else StabilityError.  A zero
-rate is stable but never delivers, and its bound is infinite.
+A `DisseminationPolicy` is a design and its rates, from which rho and the
+bounds are derived.  It is checked where it is built, by any route: every
+queue is stable, 0 <= lambda_i < pi_i (else StabilityError), and the
+design's target pi is a positive distribution.  A zero rate is stable but
+never delivers, and its bound is infinite.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import NumericalError, QueueBacklogWarning, StabilityError
 from .graphs import MobilityGraph
 from . import simulation
 # analyze is unused here, but perfbench/tracer.py wraps it as a global of this module
-from .markov import ChainAnalysis, JsonRecord, TransitionMatrix, _inverse_cdf, analyze  # noqa: F401
+from .markov import ChainAnalysis, JsonRecord, _inverse_cdf, analyze  # noqa: F401
 from .simulation import AgeStats, _AgeEngine, _check_run, _count, _groups, _walk, check_window
 from .trajectory_design import DesignResult, build_fastest_mixing
 
@@ -246,43 +247,44 @@ def terminal_age_upper_bound(analysis: ChainAnalysis, i, rho_i):
 
 @dataclass(frozen=True, eq=False)
 class DisseminationPolicy(JsonRecord):
-    """A trajectory plus per-terminal update generation rates, stable by construction."""
+    """A trajectory design plus per-terminal update rates; utilizations and bounds are derived."""
 
-    matrix: TransitionMatrix
-    target_pi: np.ndarray
+    design: DesignResult
     rates: np.ndarray
-    upper_bounds: np.ndarray
-    discrepancy: float
 
     def __post_init__(self):
-        if not len(self.rates) == len(self.target_pi) == self.matrix.n:
-            raise ValueError("rates and target_pi must have one entry per terminal of the matrix")
+        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
+        if self.rates.shape != np.shape(self.design.target_pi):
+            raise ValueError("rates must have one entry per terminal of the design")
         # every queue stable; written so that a NaN rate or a NaN pi_i fails it
-        if not (np.all(self.rates >= 0) and np.all(self.rates < self.target_pi)):
+        if not (np.all(self.rates >= 0) and np.all(self.rates < self.design.target_pi)):
             raise StabilityError("rates must satisfy 0 <= lambda_i < pi_i (rho_i < 1)")
+        self.design.analysis  # refuses a target_pi that is not a positive distribution
 
     @property
     def rho(self) -> np.ndarray:
         """Queue utilizations lambda_i / pi_i."""
-        return self.rates / self.target_pi
+        return self.rates / self.design.target_pi
+
+    @property
+    def upper_bounds(self) -> np.ndarray:
+        """`terminal_age_upper_bound` of every terminal at its rate; infinite at a zero rate."""
+        rho, bounds = self.rho, np.full(len(self.rates), math.inf)
+        stable = np.flatnonzero((rho > 0) & (rho < 1))
+        bounds[stable] = terminal_age_upper_bound(self.design.analysis, stable, rho[stable])
+        return bounds
 
 
 def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
-    """Attach rates to an existing trajectory design (default: optimal rates)."""
-    analysis = design.analysis
-    pi, slack = analysis.pi, analysis.z_diag - analysis.pi
-    if slack.min() < -1e-10:
-        raise NumericalError(
-            f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")
-    # pi_i times the utilization that minimizes the bound
-    rates = (pi * (1.0 / (1.0 + np.sqrt(np.maximum(slack, 0.0)))) if rates is None
-             else np.asarray(rates, dtype=float))
-    rho = rates / pi
-    stable = np.flatnonzero((rho > 0) & (rho < 1))
-    bounds = np.full(len(pi), math.inf)
-    bounds[stable] = terminal_age_upper_bound(analysis, stable, rho[stable])
-    return DisseminationPolicy(matrix=analysis.matrix, target_pi=pi, rates=rates,
-                               upper_bounds=bounds, discrepancy=analysis.discrepancy)
+    """Attach rates to an existing trajectory design (default: the bound-minimizing rates)."""
+    if rates is None:
+        pi, slack = design.analysis.pi, design.analysis.z_diag - design.analysis.pi
+        if slack.min() < -1e-10:
+            raise NumericalError(
+                f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")
+        # pi_i times the utilization that minimizes the bound
+        rates = pi * (1.0 / (1.0 + np.sqrt(np.maximum(slack, 0.0))))
+    return DisseminationPolicy(design, rates)
 
 
 def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> DisseminationPolicy:
@@ -291,9 +293,7 @@ def separation_policy(g: MobilityGraph, design: DesignResult | None = None) -> D
     The weights are the graph's (`g.with_weights` overrides them); `design`
     reuses a trajectory already built for g instead of solving again.
     """
-    if design is None:
-        design = build_fastest_mixing(g)
-    return policy_from_design(design)
+    return policy_from_design(build_fastest_mixing(g) if design is None else design)
 
 
 def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizon: int,
@@ -314,12 +314,12 @@ def simulate_dissemination(g: MobilityGraph, policy: DisseminationPolicy, horizo
     uniforms.  The walk never looks at the queues, so it runs first and
     counts through gathering's loop with `_Queues.serve` as delivery rule.
     """
-    burn_in = _check_run(g, policy.matrix, horizon, burn_in, start, record_events)
+    burn_in = _check_run(g, policy.design.matrix, horizon, burn_in, start, record_events)
 
     rng = np.random.default_rng(seed)
     arrivals = [_bernoulli_arrivals(rng, lam, horizon) for lam in policy.rates]
     queues = _Queues(arrivals, horizon)
-    walk = _walk(policy.matrix, start, rng, horizon)
+    walk = _walk(policy.design.matrix, start, rng, horizon)
     stats, log = _count(g, walk, horizon, burn_in, record_events, queues.serve)
     if not record_events:
         return stats
@@ -407,16 +407,16 @@ def dissemination_report(policy: DisseminationPolicy, stats: AgeStats, weights) 
     margin).  The mixing-time shapes are reported with discrepancy/4 as a
     stand-in proxy and carry no pass/fail.
     """
-    peak, avg = stats.per_terminal_peak, stats.per_terminal_avg
-    peak_ok = peak <= policy.upper_bounds * _MARGIN
+    peak, avg, bounds = stats.per_terminal_peak, stats.per_terminal_avg, policy.upper_bounds
+    peak_ok = peak <= bounds * _MARGIN
     avg_ok = avg <= peak * _MARGIN
     columns = {"rate": policy.rates, "rho": policy.rho, "empirical_peak": peak,
-               "upper_bound": policy.upper_bounds, "peak_within_bound": peak_ok,
+               "upper_bound": bounds, "peak_within_bound": peak_ok,
                "empirical_avg": avg, "avg_within_peak": avg_ok}
     per_terminal = [{"terminal": i, **dict(zip(columns, row))} for i, row in
                     enumerate(zip(*(c.tolist() for c in columns.values())))]
-    gathering_opt_peak = float(np.sum(np.asarray(weights, dtype=float) / policy.target_pi))
-    h_proxy = policy.discrepancy / 4.0
+    gathering_opt_peak = float(np.sum(np.asarray(weights, dtype=float) / policy.design.target_pi))
+    h_proxy = policy.design.analysis.discrepancy / 4.0
     return {
         "per_terminal": per_terminal,
         "network": {

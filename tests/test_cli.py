@@ -595,6 +595,33 @@ def test_empty_seed_list_is_usage_error(runner, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", ["simulate", "disseminate"])
+def test_negative_seed_is_usage_error(runner, tmp_path, monkeypatch, command, route):
+    # numpy refused it after the design was built (exit 3), and the walks that draw
+    # no random numbers wrote it into the CSV (exit 0)
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "5", "--k", "1", "-o", str(graph_path)])
+
+    def no_design(g, *args):
+        raise AssertionError("a design was built")
+
+    monkeypatch.setattr(cli, "build_mh", no_design)
+    monkeypatch.setattr(cli, "build_fastest_mixing", no_design)
+    out = tmp_path / "o.csv"
+    args = [command, "--graph", str(graph_path), "--horizon", "100", "-o", str(out)]
+    if route == "flag":
+        args += ["--seeds", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [2, -4]}))
+        args += ["--config", str(cfg)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "seeds must be >= 0" in result.output
+    assert not out.exists()
+
+
 def _counting(monkeypatch, name, seeds):
     original = getattr(cli, name)
 

@@ -1,18 +1,19 @@
 import json
 import math
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from age_patrol import (AgeStats, DesignResult, DiscreteLaw, DisseminationPolicy,
-                        QueueBacklogWarning, QueueModelParams, StabilityError,
-                        TransitionMatrix, analyze, analytic_ages, berg1_vacation_peak_age,
+                        QueueBacklogWarning, QueueModelParams, StabilityError, TransitionMatrix,
+                        analyze, analytic_ages, assign_weights, berg1_vacation_peak_age,
                         build_fastest_mixing, dissemination, dissemination_report,
                         generate_grid_diag, generate_random_geometric, generate_ring_k,
-                        policy_from_design, separation_policy, simulate_berg1_vacation,
-                        markov, simulate_dissemination, simulate_randomized, simulation,
+                        policy_from_design, separation_policy, simulate_berg1_vacation, markov,
+                        simulate_dissemination, simulate_randomized, simulation,
                         terminal_age_upper_bound)
 from age_patrol.dissemination import _bernoulli_arrivals
 from age_patrol.trajectory_design import build_mh
@@ -447,7 +448,7 @@ def test_separation_policy_rates_below_pi():
     g = generate_random_geometric(15, 0.55, seed=2)
     policy = separation_policy(g)
     assert np.all(policy.rates > 0)
-    assert np.all(policy.rates < policy.target_pi)
+    assert np.all(policy.rates < policy.design.target_pi)
     assert np.all(np.isfinite(policy.upper_bounds))
 
 
@@ -456,7 +457,7 @@ def test_policy_json_round_trip():
     clone = DisseminationPolicy.from_json(json.loads(json.dumps(policy.to_json())))
     assert np.allclose(clone.rates, policy.rates)
     assert np.allclose(clone.upper_bounds, policy.upper_bounds)
-    assert clone.discrepancy == policy.discrepancy
+    assert clone.design.analysis.discrepancy == policy.design.analysis.discrepancy
 
 
 def test_a_design_is_analyzed_once_across_its_policies(monkeypatch):
@@ -481,6 +482,63 @@ def test_a_design_is_analyzed_once_across_its_policies(monkeypatch):
     assert np.array_equal(separation.rates, optimal.rates)
     assert np.array_equal(halved.rates, optimal.rates / 2)
 
+
+@pytest.mark.parametrize("route", ["constructor", "policy_from_design", "separation_policy",
+                                   "from_json", "replace"])
+def test_every_route_derives_the_bounds_from_its_own_rates(route):
+    # replace() used to keep the bounds of the rates it replaced: 41.78 for
+    # terminal 0 of this ring, where the halved rates give 52.99
+    g = assign_weights(generate_ring_k(9, 2), "random_interval", seed=8)
+    design = build_mh(g)
+    optimal = policy_from_design(design)
+    half = optimal.rates * 0.5
+    build = {
+        "constructor": lambda: DisseminationPolicy(design, half.tolist()),  # held as an array
+        "policy_from_design": lambda: policy_from_design(design, rates=half),
+        "separation_policy": lambda: separation_policy(g, design=design),
+        "from_json": lambda: DisseminationPolicy.from_json(
+            json.loads(json.dumps(DisseminationPolicy(design, half).to_json()))),
+        "replace": lambda: replace(optimal, rates=half),
+    }
+    policy = build[route]()
+    assert type(policy.rates) is np.ndarray and policy.rates.dtype == float
+    expected = policy_from_design(policy.design, rates=policy.rates).upper_bounds
+    assert policy.upper_bounds.tobytes() == expected.tobytes()
+    if route != "separation_policy":
+        assert policy.upper_bounds[0] == pytest.approx(52.99, abs=5e-3)
+
+
+def test_a_policy_payload_cannot_set_its_own_bounds_or_discrepancy():
+    # the old layout stored both beside the rates, and a negative discrepancy
+    # crashed dissemination_report with "math domain error"
+    policy = policy_from_design(swap_design())
+    design = policy.design.to_json()
+    old = {"matrix": design["matrix"], "target_pi": design["target_pi"],
+           "rates": policy.rates.tolist(), "upper_bounds": [1.0, 1.0], "discrepancy": -1.0}
+    with pytest.raises(ValueError, match="lacks the key 'design'"):
+        DisseminationPolicy.from_json(old)
+    stale = dict(policy.to_json(), upper_bounds=[1.0, 1.0], discrepancy=-1.0)
+    assert DisseminationPolicy.from_json(stale).upper_bounds.tolist() == [6.5, 6.5]
+    with pytest.raises(ValueError, match="unknown keys"):
+        DisseminationPolicy.from_json(stale, strict=True)
+
+
+@pytest.mark.parametrize("rates", [[0.1, 0.1, 0.1], [0.1]], ids=["long", "short"])
+def test_policy_from_design_rejects_a_wrong_length_rate_vector(rates):
+    # the rates were divided by pi first, so numpy's broadcast error came out,
+    # or a length-1 vector broadcast through the bounds
+    with pytest.raises(ValueError, match="one entry per terminal"):
+        policy_from_design(swap_design(), rates=rates)
+
+
+def test_a_design_that_is_no_distribution_is_refused_when_its_policy_is_built():
+    # it used to be built and then failed inside numpy's rng.geometric
+    payload = {"design": {"matrix": np.full((3, 3), 1 / 3).tolist(),
+                          "target_pi": [2, 2, 2]}, "rates": [1.5, 1.5, 1.5]}
+    with pytest.raises(ValueError, match="not a positive distribution"):
+        DisseminationPolicy.from_json(payload)
+
+
 def test_simulate_dissemination_rejects_a_matrix_off_the_graph():
     # a design built on another graph of the same size used to walk along non-edges
     g = generate_ring_k(8, 1)
@@ -492,10 +550,8 @@ def test_simulate_dissemination_rejects_a_matrix_off_the_graph():
         simulate_dissemination(g, policy, 1000)
 
 
-def test_dissemination_zero_rates_ages_grow(k2, swap_matrix):
-    policy = DisseminationPolicy(
-        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.zeros(2),
-        upper_bounds=np.full(2, np.inf), discrepancy=0.5)
+def test_dissemination_zero_rates_ages_grow(k2):
+    policy = DisseminationPolicy(swap_design(), np.zeros(2))
     horizon = 10_000
     stats = simulate_dissemination(k2, policy, horizon, burn_in=0, seed=0)
     assert np.all(stats.n_peaks == 0)
@@ -509,10 +565,9 @@ def _policy_by(route, matrix, rates, target_pi):
         return policy_from_design(DesignResult(matrix, np.array(target_pi)), rates=rates)
     if route == "from_json":
         payload = policy_from_design(swap_design()).to_json()
-        return DisseminationPolicy.from_json(dict(payload, rates=rates, target_pi=target_pi))
-    return DisseminationPolicy(matrix=matrix, target_pi=np.array(target_pi),
-                               rates=np.array(rates), upper_bounds=np.full(2, 7.0),
-                               discrepancy=0.5)
+        design = dict(payload["design"], target_pi=target_pi)
+        return DisseminationPolicy.from_json(dict(payload, design=design, rates=rates))
+    return DisseminationPolicy(DesignResult(matrix, np.array(target_pi)), np.array(rates))
 
 
 # a NaN rate once passed the simulator's check and generated no packet at all, and a
@@ -602,12 +657,10 @@ def test_dissemination_deterministic_under_seed(k2):
     assert np.array_equal(a.per_terminal_peak, b.per_terminal_peak)
 
 
-def test_dissemination_backlog_warning(k2, swap_matrix, monkeypatch):
+def test_dissemination_backlog_warning(k2, monkeypatch):
     # rates just below the visit rate plus a tiny warning threshold
     monkeypatch.setattr(dissemination, "QUEUE_WARNING_THRESHOLD", 40)
-    policy = DisseminationPolicy(
-        matrix=swap_matrix, target_pi=np.array([0.5, 0.5]), rates=np.array([0.499, 0.499]),
-        upper_bounds=np.full(2, np.inf), discrepancy=0.5)
+    policy = DisseminationPolicy(swap_design(), np.array([0.499, 0.499]))
     with pytest.warns(QueueBacklogWarning):
         simulate_dissemination(k2, policy, 200_000, seed=1)
 
@@ -662,7 +715,8 @@ def test_dissemination_report_round_trip_and_checks(k2):
     assert report["hard_checks"]["avg_within_peak_pass"]
     clone = json.loads(json.dumps(report))
     assert clone == report
-    assert report["mixing_proxy"]["h_proxy"] == pytest.approx(policy.discrepancy / 4.0)
+    assert report["mixing_proxy"]["h_proxy"] == pytest.approx(
+        policy.design.analysis.discrepancy / 4.0)
 
 
 @pytest.mark.parametrize("peak_scale, avg_scale, last, passes", [
@@ -679,7 +733,7 @@ def test_dissemination_report_matches_a_per_terminal_loop(peak_scale, avg_scale,
     stats = AgeStats(peak, avg, np.ones(6, dtype=int), 1.0, 1.0, 100, 0)
     report = dissemination_report(policy, stats, g.weights)
     rows = [{"terminal": i, "rate": float(policy.rates[i]),
-             "rho": float(policy.rates[i] / policy.target_pi[i]),
+             "rho": float(policy.rates[i] / policy.design.target_pi[i]),
              "empirical_peak": float(peak[i]), "upper_bound": float(policy.upper_bounds[i]),
              "peak_within_bound": bool(peak[i] <= policy.upper_bounds[i] * 1.02),
              "empirical_avg": float(avg[i]), "avg_within_peak": bool(avg[i] <= peak[i] * 1.02)}

@@ -18,7 +18,7 @@ SCHEMAS = {
     AgeStats: {"per_terminal_peak", "per_terminal_avg", "n_peaks", "network_peak",
                "network_avg", "horizon", "burn_in"},
     DesignResult: {"matrix", "target_pi", "objective", "iterations", "converged", "residuals"},
-    DisseminationPolicy: {"matrix", "target_pi", "rates", "upper_bounds", "discrepancy"},
+    DisseminationPolicy: {"design", "rates"},
 }
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -50,11 +50,17 @@ def records(draw):
                             draw(st.none() | finite), draw(st.integers(0, 10**6)),
                             draw(st.booleans()),
                             draw(st.dictionaries(st.text(max_size=4), finite, max_size=3)))
+    # a policy's design is analyzed, so it is an MH design on a connected graph of at
+    # least 2 terminals: a random spanning tree plus random chords, both ways round
+    n += 1
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=n)))
+    edges = {(i, j) for i, j in pairs if i != j} | {(j, i) for i, j in pairs if i != j}
+    design = build_mh(MobilityGraph(n, edges, draw(vectors(n, st.floats(0.01, 100.0)))))
     # a policy is stable, 0 <= rate < pi_i; a normal pi_i keeps pi_i * u below pi_i
-    target_pi = draw(vectors(n, st.floats(1e-300, 1e300)))
     u = draw(vectors(n, st.floats(0.0, 1.0, exclude_max=True)))
-    return DisseminationPolicy(draw(stochastic_matrices(n)), target_pi, target_pi * u,
-                               draw(vectors(n)), draw(finite))
+    return DisseminationPolicy(design, design.target_pi * u)
 
 
 def _arrays(record):
