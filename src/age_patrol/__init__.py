@@ -22,8 +22,8 @@ from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 from .markov import (ChainAnalysis, TransitionMatrix, analyze, check_irreducible,
                      fundamental_matrix, slem, stationary_distribution)
-from .simulation import (AgeStats, AgeTrace, brute_force_optimal_periodic, periodic_exact_ages,
-                         simulate_age_based, simulate_periodic, simulate_randomized)
+from .simulation import (AgeStats, AgeTrace, periodic_exact_ages, simulate_age_based,
+                         simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing,
                                 build_mh, design_objective, target_distribution,
                                 validate_design)

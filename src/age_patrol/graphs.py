@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -46,30 +47,36 @@ class MobilityGraph(JsonRecord):
         _validate(self)
 
     @cached_property
-    def neighbors(self) -> list:
-        """Sorted out-neighbour list per terminal."""
-        out = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            out[i].append(j)
-        for lst in out:
-            lst.sort()
-        return out
+    def edge_index(self) -> tuple:
+        """(rows, cols) integer arrays of the edges, in row-major order."""
+        pairs = np.fromiter(chain.from_iterable(self.edges), np.intp).reshape(-1, 2)
+        pairs = pairs[np.argsort(pairs[:, 0] * self.n + pairs[:, 1])]
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only n x n boolean mask of the edges: adjacency[i, j] iff (i, j) is an edge."""
+        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        adjacency[self.edge_index] = True
+        adjacency.flags.writeable = False
+        return adjacency
 
     @cached_property
     def out_degree(self) -> np.ndarray:
-        return np.array([len(lst) for lst in self.neighbors], dtype=int)
+        return np.bincount(self.edge_index[0], minlength=self.n)
 
     @cached_property
-    def edge_index(self) -> tuple:
-        """(rows, cols) integer arrays of the edges, in row-major order."""
-        cols = np.array([j for lst in self.neighbors for j in lst], dtype=int)
-        return np.repeat(np.arange(self.n), self.out_degree), cols
+    def neighbors(self) -> list:
+        """Sorted out-neighbour list per terminal."""
+        cols = self.edge_index[1].tolist()
+        ends = np.cumsum(self.out_degree).tolist()
+        return [cols[start:end] for start, end in zip([0] + ends, ends)]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
 
     def is_symmetric(self) -> bool:
-        return all((j, i) in self.edges for i, j in self.edges)
+        return bool(self.adjacency[self.edge_index[::-1]].all())  # every reversed edge
 
     def with_weights(self, weights) -> "MobilityGraph":
         return replace(self, weights=np.asarray(weights, dtype=float))
@@ -84,16 +91,17 @@ def _validate(g: MobilityGraph) -> None:
         raise GraphValidationError("weights must be finite")
     if not np.all(g.weights > 0):
         raise GraphValidationError("weight must be positive")
-    for i, j in g.edges:
+    rows, cols = g.edge_index
+    bad = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= g.n) | (rows == cols)
+    for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
         if not (0 <= i < g.n and 0 <= j < g.n):
             raise GraphValidationError(f"endpoint out of range: edge ({i}, {j}) on n={g.n}")
-        if i == j:
-            raise GraphValidationError(f"self-loops are not allowed: ({i}, {j})")
+        raise GraphValidationError(f"self-loops are not allowed: ({i}, {j})")
     if g.coords is not None and g.coords.shape != (g.n, 2):
         raise GraphValidationError("coords must be an (n, 2) array")
     if g.coords is not None and not np.all(np.isfinite(g.coords)):
         raise GraphValidationError("coords must be finite")
-    if not strongly_connected(g.neighbors):
+    if not strongly_connected(g.adjacency):
         raise DisconnectedGraphError("graph is not strongly connected")
 
 

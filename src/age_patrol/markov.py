@@ -27,12 +27,11 @@ temporary beyond what their LAPACK call needs: M is built in place, the
 residual check works a block of rows at a time from P, and elementwise
 steps write into an array the routine already holds.
 
-Irreducibility is strong connectivity of the support digraph, so the
-breadth-first search behind it (`bfs_tree`, with `strongly_connected` on
-it) lives here too; it also serves the graph checks and the brute-force
-search.  A `TransitionMatrix` keeps the breadth-first tree of its
-support, which gives the detailed balance walk its tree and the residual
-check its row order.
+Irreducibility is strong connectivity of the support digraph: `bfs_tree`,
+the one breadth-first search, walks a boolean mask a level at a time, and
+`strongly_connected` runs it on the mask and its transpose, for chains and
+graphs alike.  A `TransitionMatrix` keeps its support mask and its search
+tree, which orders the detailed balance walk and the residual check.
 `JsonRecord` is the one JSON codec of the package's records, graphs
 included, and `read_json`/`write_json` its one file reader and writer.
 `_inverse_cdf` is the one inverse-CDF sampling table, of walk rows and
@@ -143,27 +142,25 @@ class TransitionMatrix:
         return _sampling_tables(self.p)
 
     @cached_property
-    def support_tree(self) -> tuple:
-        """(order, parent) of a breadth-first search of the support from terminal 0.
+    def support(self) -> np.ndarray:
+        """Read-only boolean mask of the positive entries, built on first read and kept."""
+        support = self.p > 0
+        support.flags.writeable = False
+        return support
 
-        Built on first read and kept with the matrix, as two n-entry integer
-        arrays.  ``order`` lists the terminals the search reaches, each where
-        it is first reached, then any it does not reach in index order;
-        ``parent[v]`` is the terminal v was first reached from (0 for 0, -1
-        if unreachable).
-        """
-        order, parent = bfs_tree(_support_lists(self.p), 0)
-        parent = np.array(parent)
+    @cached_property
+    def support_tree(self) -> tuple:
+        """`bfs_tree` of the support from terminal 0, then the terminals it misses; kept."""
+        order, parent = bfs_tree(self.support, 0)
         return np.concatenate([order, np.flatnonzero(parent < 0)]), parent
 
     def support_violations(self, graph) -> list:
         """Off-diagonal positive entries that are not edges of the graph, in row-major order."""
-        off_support = self.p > 0
-        np.fill_diagonal(off_support, False)
-        rows, cols = graph.edge_index
-        inside = (rows < self.n) & (cols < self.n)
-        off_support[rows[inside], cols[inside]] = False
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(off_support))]
+        outside = self.support.copy()
+        np.fill_diagonal(outside, False)
+        m = min(self.n, graph.n)
+        outside[:m, :m] &= ~graph.adjacency[:m, :m]
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(outside))]
 
 
 class JsonRecord:
@@ -310,42 +307,38 @@ class ChainAnalysis:
             raise NumericalError("discrepancy must be nonnegative")
 
 
-def bfs_tree(adjacency, source: int) -> tuple:
-    """(order, parent) of a breadth-first search from source along the adjacency lists.
+def bfs_tree(adjacency: np.ndarray, source: int) -> tuple:
+    """(order, parent) of a breadth-first search from source over an n x n boolean mask.
 
-    ``order`` lists the nodes reached, each where it is first reached, source
-    first; ``parent[v]`` is the node v was first reached from (source for
-    itself, -1 if unreachable).
+    ``adjacency[u, v]`` marks an edge u -> v.  Taken a level at a time, each
+    node reached from the first node of the level before with an edge to it,
+    it gives the ``order`` (source first) and ``parent`` (source for itself,
+    -1 if unreachable) of a first-in first-out search over sorted lists.
     """
-    parent = [-1] * len(adjacency)
+    parent = np.full(len(adjacency), -1)
     parent[source] = source
-    order = [source]
-    for u in order:
-        for v in adjacency[u]:
-            if parent[v] < 0:
-                parent[v] = u
-                order.append(v)
-    return order, parent
+    levels = [np.array([source])]
+    while levels[-1].size and parent.min() < 0:
+        frontier = levels[-1]
+        reach = adjacency[frontier] & (parent < 0)
+        reached = reach.any(axis=0).nonzero()[0]
+        first = reach[:, reached].argmax(axis=0)  # each new node's parent, as a frontier position
+        rank = first.argsort(kind="stable")
+        parent[reached[rank]] = frontier[first[rank]]
+        levels.append(reached[rank])
+    return np.concatenate(levels), parent
 
 
-def strongly_connected(adjacency) -> bool:
-    """True iff node 0 reaches every node along the lists and every node reaches 0."""
-    reverse = [[] for _ in adjacency]
-    for u, out in enumerate(adjacency):
-        for v in out:
-            reverse[v].append(u)
-    return -1 not in bfs_tree(adjacency, 0)[1] and -1 not in bfs_tree(reverse, 0)[1]
-
-
-def _support_lists(p: np.ndarray) -> list:
-    """The support digraph's adjacency lists: each row's positive columns."""
-    # the method skips np.flatnonzero's ravel; it halves the time on a sparse support
-    return [row.nonzero()[0].tolist() for row in p > 0]
+def strongly_connected(adjacency: np.ndarray) -> bool:
+    """True iff in the boolean mask's digraph node 0 reaches every node and every node reaches 0."""
+    # the search gathers rows, so the reverse search reads a contiguous transposed copy
+    return (bfs_tree(adjacency, 0)[1].min() >= 0
+            and bfs_tree(np.ascontiguousarray(adjacency.T), 0)[1].min() >= 0)
 
 
 def check_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support digraph of P is strongly connected."""
-    return strongly_connected(_support_lists(P.p))
+    return strongly_connected(P.support)
 
 
 # rows per block of the residual check, taken in breadth-first order of the
@@ -377,7 +370,7 @@ def _fundamental_residual(P: TransitionMatrix, pi: np.ndarray, z: np.ndarray) ->
     for start in range(0, n, _RESIDUAL_BLOCK_ROWS):
         rows = order[start:start + _RESIDUAL_BLOCK_ROWS]
         block = p[rows]
-        cols = np.flatnonzero(block.any(axis=0))
+        cols = np.flatnonzero(P.support[rows].any(axis=0))
         lhs = block[:, cols] @ z[cols] if 2 * len(cols) <= n else block @ z
         np.subtract(z[rows], lhs, out=lhs)
         lhs += pi_z

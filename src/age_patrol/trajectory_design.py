@@ -128,11 +128,9 @@ class _FeasibleSet:
     """
 
     def __init__(self, g: MobilityGraph, pi: np.ndarray):
-        n = g.n
-        pairs = sorted(set(g.edges) | {(i, i) for i in range(n)})
-        self.n = n
-        self.rows = np.array([i for i, _ in pairs], dtype=int)
-        self.cols = np.array([j for _, j in pairs], dtype=int)
+        self.n = n = g.n
+        # contiguous index arrays: np.nonzero's are strided views, which slow each take below
+        self.rows, self.cols = np.divmod(np.flatnonzero(g.adjacency | np.eye(n, dtype=bool)), n)
         self.pi_rows = pi[self.rows]
         d1 = np.bincount(self.rows, minlength=n).astype(float)
         d2 = np.bincount(self.cols, weights=self.pi_rows ** 2, minlength=n)
@@ -143,7 +141,7 @@ class _FeasibleSet:
         self.b = np.concatenate([np.ones(n), pi])
         # row sums land in bins 0..n-1 and column balances in bins n..2n-1
         self.bins = np.concatenate([self.rows, self.cols + n])
-        self.bin_weights = np.empty(2 * len(pairs))
+        self.bin_weights = np.empty(2 * len(self.rows))
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         p = np.zeros((self.n, self.n))

@@ -15,15 +15,14 @@ from click.testing import CliRunner
 
 from age_patrol import (DesignResult, DiscreteLaw, QueueModelParams, TransitionMatrix,
                         analytic_ages, analyze, average_age_lower_bound,
-                        berg1_vacation_peak_age, brute_force_optimal_periodic,
-                        build_fastest_mixing, build_mh, generate_grid_diag,
+                        berg1_vacation_peak_age, build_fastest_mixing, build_mh, generate_grid_diag,
                         generate_random_geometric, generate_ring_k, assign_weights,
                         policy_from_design, separation_policy,
                         simulate_age_based, simulate_berg1_vacation, simulate_dissemination,
                         simulate_randomized, validate_design)
 from age_patrol.cli import main as cli_main
-from conftest import (make_complete, make_fig_tree, make_path, random_chain,
-                      random_connected_graph)
+from conftest import (brute_force_optimal_periodic, make_complete, make_fig_tree, make_path,
+                      random_chain, random_connected_graph)
 
 
 def criterion(num, name):

@@ -12,12 +12,14 @@ and `simulate --trace` writes its rows from the visit log.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from age_patrol import (DesignResult, analyze, assign_weights, build_mh, design_objective,
-                        generate_random_geometric, generate_ring_k, save_graph,
-                        simulate_age_based, simulate_randomized, stationary_distribution)
+from age_patrol import (DesignResult, TransitionMatrix, analyze, assign_weights, build_mh,
+                        check_irreducible, design_objective, generate_random_geometric,
+                        generate_ring_k, save_graph, simulate_age_based, simulate_randomized,
+                        stationary_distribution)
 from age_patrol.cli import main
 
 N = 600
@@ -83,6 +85,13 @@ def test_slem_read_holds_no_square_copy(chain):
 def test_stationary_distribution_of_a_reversible_chain_builds_no_square_system(chain):
     design, _ = chain
     assert peak_arrays(lambda: stationary_distribution(design.matrix)) <= 0.5
+
+
+def test_irreducibility_check_and_support_tree_of_a_dense_chain_read_one_mask():
+    # the boolean support is 1/8 of a float64 array; its adjacency lists took 4.4 arrays
+    p = np.random.default_rng(4).random((N, N))
+    matrix = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
+    assert peak_arrays(lambda: (check_irreducible(matrix), matrix.support_tree)) <= 0.5
 
 
 def test_validate_rebuilds_the_fundamental_system_in_row_blocks(chain):

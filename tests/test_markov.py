@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from age_patrol import (NumericalError, PeriodicityWarning,
                         ReducibleChainError, TransitionMatrix, analyze, assign_weights,
-                        build_mh, check_irreducible, fundamental_matrix,
+                        build_mh, check_irreducible, fundamental_matrix, generate_grid_diag,
                         generate_random_geometric, generate_ring_k, simulate_randomized,
                         slem, stationary_distribution)
 from age_patrol import markov
 from age_patrol.markov import _fundamental_residual, _fundamental_system
-from conftest import random_chain, random_connected_graph, return_time_moments
+from conftest import (list_bfs_tree, list_strongly_connected, random_chain,
+                      random_connected_graph, return_time_moments)
 
 
 def iid_chain(pi):
@@ -76,6 +78,29 @@ def test_irreducibility_needs_both_directions():
     p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     assert not check_irreducible(TransitionMatrix(p))
     assert check_irreducible(TransitionMatrix(np.roll(np.eye(3), 1, axis=1)))
+
+
+def test_level_search_matches_the_list_search():
+    # 3,000 seeded digraphs, n from 1 to 40 and densities from 0 to 0.3, with self-loops
+    # on the diagonal and, at low density, unreachable nodes; then the supports of MH chains
+    rng = np.random.default_rng(20)
+    masks = [rng.random((n, n)) < density
+             for n, density in zip(rng.integers(1, 41, size=3000), np.arange(3000) % 31 / 100)]
+    masks += [mh_chain(g, seed=5).support for g in (
+        generate_ring_k(30, 2), generate_grid_diag(6),
+        generate_random_geometric(40, 0.35, seed=3))]
+    seen = {"unreachable": 0, "self-loop": 0, "strong": 0, "not strong": 0}
+    for adjacency in masks:
+        lists = [np.flatnonzero(row).tolist() for row in adjacency]
+        source = int(rng.integers(len(adjacency)))
+        order, parent = markov.bfs_tree(adjacency, source)
+        assert (order.tolist(), parent.tolist()) == list_bfs_tree(lists, source)
+        strong = markov.strongly_connected(adjacency)
+        assert strong == list_strongly_connected(lists)
+        seen["unreachable"] += -1 in parent
+        seen["self-loop"] += adjacency.diagonal().any()
+        seen["strong" if strong else "not strong"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_stationary_two_cycle(swap_matrix):
@@ -370,23 +395,31 @@ def test_a_nan_fails_the_residual_and_validate():
             dataclasses.replace(analysis, **bad).validate()
 
 
-def test_a_matrix_builds_its_support_tree_once(monkeypatch):
-    # the support lists are built for each irreducibility check and once for
-    # the matrix's kept tree, which the detailed balance walk and every
-    # residual check read
-    calls = []
-    original = markov._support_lists
+def test_a_matrix_builds_its_support_mask_and_tree_once(monkeypatch):
+    # the mask serves every irreducibility check, the support test of build_mh and the
+    # kept tree, which the detailed balance walk and every residual check read
+    g = assign_weights(random_connected_graph(300, seed=11), "random_interval", seed=12)
+    built = {"support": 0, "support_tree": 0}
+    for name in built:
+        original = TransitionMatrix.__dict__[name].func
 
-    def counted(p):
-        calls.append(None)
-        return original(p)
+        def counted(self, name=name, original=original):
+            built[name] += 1
+            return original(self)
 
-    monkeypatch.setattr(markov, "_support_lists", counted)
-    P = mh_chain(random_connected_graph(300, seed=11), seed=12)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(TransitionMatrix, name)
+        monkeypatch.setattr(TransitionMatrix, name, prop)
+    searched = []
+    search = markov.bfs_tree
+    monkeypatch.setattr(markov, "bfs_tree",
+                        lambda adjacency, source: searched.append(adjacency) or search(adjacency, source))
+    P = build_mh(g).matrix
     analyze(P).validate()
-    assert len(calls) == 2
     analyze(P).validate()
-    assert len(calls) == 3
+    assert built == {"support": 1, "support_tree": 1}
+    # each irreducibility check searches the mask and its transpose; the tree searches the mask
+    assert len(searched) == 5 and sum(a is P.support for a in searched) == 3
 
 
 def test_analysis_validate_passes_on_real_chain():

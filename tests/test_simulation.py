@@ -9,15 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from age_patrol import (AgeStats, DiscreteLaw, QueueBacklogWarning, TransitionMatrix, analytic_ages,
-                        analyze, assign_weights, average_age_lower_bound,
-                        brute_force_optimal_periodic, build_mh, dissemination, generate_grid_diag,
+                        analyze, assign_weights, average_age_lower_bound, build_mh,
+                        dissemination, generate_grid_diag,
                         generate_random_geometric, generate_ring_k, markov, periodic_exact_ages,
                         separation_policy, simulate_age_based, simulate_berg1_vacation,
                         simulate_dissemination, simulate_periodic, simulate_randomized,
                         simulation)
 from age_patrol.simulation import _AgeEngine
-from conftest import (make_complete, make_fig_tree, make_path, random_chain,
-                      random_connected_graph)
+from conftest import (brute_force_optimal_periodic, make_complete, make_fig_tree, make_path,
+                      random_chain, random_connected_graph)
 
 
 def test_two_cycle_simulation_is_exact(k2, swap_matrix):

@@ -199,8 +199,8 @@ def test_support_violations_match_has_edge_reference():
     p = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5)
     p[:, 0] += 0.1  # no empty row
     P = TransitionMatrix(p / p.sum(axis=1, keepdims=True))
-    # a graph on as many terminals as P, and one on more
-    for g in (generate_ring_k(12, 2), generate_ring_k(15, 1)):
+    # a graph on as many terminals as P, one on more and one on fewer
+    for g in (generate_ring_k(12, 2), generate_ring_k(15, 1), generate_ring_k(10, 1)):
         assert reference(P, g)
         assert P.support_violations(g) == reference(P, g)
 
