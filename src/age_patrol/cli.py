@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -97,6 +96,7 @@ def main():
 def _parallel_map(fn, jobs, *iterables) -> list:
     """list(map(fn, *iterables)), over a pool of `jobs` processes when that can help."""
     if jobs > 1 and len(iterables[0]) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # it loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *iterables))
     return list(map(fn, *iterables))

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -36,15 +37,31 @@ class MobilityGraph(JsonRecord):
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in self.edges))
-        weights = np.array(self.weights, dtype=float)
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        try:  # index() gives a numpy integer as an int and refuses a float
+            object.__setattr__(self, "n", index(self.n))
+            object.__setattr__(self, "edges",
+                               frozenset((index(i), index(j)) for i, j in self.edges))
+        except TypeError as exc:
+            raise GraphValidationError(f"n and edge endpoints must be integers: {exc}") from exc
+        if self.n < 2:
+            raise GraphValidationError("graph needs at least 2 terminals")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, self.n))
         if self.coords is not None:
             coords = np.array(self.coords, dtype=float)
             coords.flags.writeable = False
             object.__setattr__(self, "coords", coords)
-        _validate(self)
+        rows, cols = self.edge_index
+        bad = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= self.n) | (rows == cols)
+        for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise GraphValidationError(f"endpoint out of range: edge ({i}, {j}) on n={self.n}")
+            raise GraphValidationError(f"self-loops are not allowed: ({i}, {j})")
+        if self.coords is not None and self.coords.shape != (self.n, 2):
+            raise GraphValidationError("coords must be an (n, 2) array")
+        if self.coords is not None and not np.all(np.isfinite(self.coords)):
+            raise GraphValidationError("coords must be finite")
+        if not strongly_connected(self.adjacency):
+            raise DisconnectedGraphError("graph is not strongly connected")
 
     @cached_property
     def edge_index(self) -> tuple:
@@ -79,30 +96,23 @@ class MobilityGraph(JsonRecord):
         return bool(self.adjacency[self.edge_index[::-1]].all())  # every reversed edge
 
     def with_weights(self, weights) -> "MobilityGraph":
-        return replace(self, weights=np.asarray(weights, dtype=float))
+        """A copy with new weights that shares the checked edges and drops `weights_*` meta."""
+        g = object.__new__(type(self))  # no __post_init__; the cached forms read only n and edges
+        meta = {key: value for key, value in self.meta.items() if not key.startswith("weights_")}
+        g.__dict__.update(self.__dict__, weights=_checked_weights(weights, self.n), meta=meta)
+        return g
 
 
-def _validate(g: MobilityGraph) -> None:
-    if g.n < 2:
-        raise GraphValidationError("graph needs at least 2 terminals")
-    if g.weights.shape != (g.n,):
+def _checked_weights(weights, n: int) -> np.ndarray:
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (n,):
         raise GraphValidationError("weights length must equal the terminal count")
-    if not np.all(np.isfinite(g.weights)):
+    if not np.all(np.isfinite(weights)):
         raise GraphValidationError("weights must be finite")
-    if not np.all(g.weights > 0):
+    if not np.all(weights > 0):
         raise GraphValidationError("weight must be positive")
-    rows, cols = g.edge_index
-    bad = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= g.n) | (rows == cols)
-    for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
-        if not (0 <= i < g.n and 0 <= j < g.n):
-            raise GraphValidationError(f"endpoint out of range: edge ({i}, {j}) on n={g.n}")
-        raise GraphValidationError(f"self-loops are not allowed: ({i}, {j})")
-    if g.coords is not None and g.coords.shape != (g.n, 2):
-        raise GraphValidationError("coords must be an (n, 2) array")
-    if g.coords is not None and not np.all(np.isfinite(g.coords)):
-        raise GraphValidationError("coords must be finite")
-    if not strongly_connected(g.adjacency):
-        raise DisconnectedGraphError("graph is not strongly connected")
+    weights.flags.writeable = False
+    return weights
 
 
 def _pairs_within(pts: np.ndarray, r: float) -> tuple:
@@ -193,9 +203,9 @@ def assign_weights(g: MobilityGraph, mode: str, *, lo: float = 1.0, hi: float = 
                  "weights_hi": hi, "weights_seed": seed}
     else:
         raise GraphValidationError(f"unknown weight mode: {mode!r}")
-    meta = dict(g.meta)
-    meta.update(extra)
-    return replace(g, weights=weights, meta=meta)
+    g = g.with_weights(weights)
+    g.meta.update(extra)  # the copy's own dict
+    return g
 
 
 def save_graph(g: MobilityGraph, path) -> None:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from age_patrol import (DisconnectedGraphError, GraphValidationError, MobilityGraph,
                         assign_weights, generate_grid_diag, generate_random_geometric,
-                        generate_ring_k, load_graph, save_graph)
+                        generate_ring_k, graphs, load_graph, save_graph)
 from age_patrol.cli import EXIT_VALIDATION, main
 
 
@@ -245,9 +245,16 @@ def test_malformed_graph_file_is_a_validation_error(tmp_path, change, message):
 
 def test_graph_rejects_non_finite_weights_and_coords():
     edges = {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
-    for weights in ([np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0]):
-        with pytest.raises(GraphValidationError, match="weights must be finite"):
-            MobilityGraph(3, edges, weights)
+    triangle = MobilityGraph(3, edges, [1.0, 1.0, 1.0])
+    # a re-weight checks its weights as the constructor does, with the same messages
+    for weights, message in (([np.inf, 1.0, 1.0], "weights must be finite"),
+                             ([np.nan, 1.0, 1.0], "weights must be finite"),
+                             ([0.0, 1.0, 1.0], "weight must be positive"),
+                             ([-1.0, 1.0, 1.0], "weight must be positive"),
+                             ([1.0, 1.0], "weights length must equal the terminal count")):
+        for build in (lambda w: MobilityGraph(3, edges, w), triangle.with_weights):
+            with pytest.raises(GraphValidationError, match=message):
+                build(weights)
     coords = [[0.0, 0.0], [np.nan, 0.5], [1.0, np.inf]]
     with pytest.raises(GraphValidationError, match="coords must be finite"):
         MobilityGraph(3, edges, [1.0, 1.0, 1.0], coords=coords)
@@ -270,3 +277,52 @@ def test_directed_graph_must_be_strongly_connected():
     assert not MobilityGraph(3, cycle, [1.0, 1.0, 1.0]).is_symmetric()
     with pytest.raises(DisconnectedGraphError):
         MobilityGraph(3, cycle - {(2, 0)}, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, {(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 1.5)}),
+    (2.0, {(0, 1), (1, 0)}),
+    (2, {(0, 1), (1, np.float64(0.0))}),
+], ids=["fractional-endpoint", "float-n", "numpy-float-endpoint"])
+def test_graph_rejects_a_non_integer_count_or_endpoint(n, edges):
+    # int() used to store the endpoint 1.5 as 1, and a float n raised a bare TypeError
+    with pytest.raises(GraphValidationError, match="n and edge endpoints must be integers"):
+        MobilityGraph(n, edges, np.ones(int(n)))
+
+
+def test_numpy_integer_count_and_endpoints_are_stored_as_ints(tmp_path):
+    # a numpy n used to be kept as it was, and save_graph could not write it
+    g = MobilityGraph(np.int64(2), {(np.int64(0), np.int32(1)), (1, np.uint8(0))}, [1.0, 2.0])
+    assert type(g.n) is int and {type(v) for pair in g.edges for v in pair} == {int}
+    save_graph(g, tmp_path / "g.json")
+    loaded = load_graph(tmp_path / "g.json")
+    assert loaded.n == 2 and loaded.edges == {(0, 1), (1, 0)}
+
+
+def test_reweighting_shares_the_checked_edge_set(monkeypatch):
+    g = generate_random_geometric(30, 0.4, seed=2)
+    searches = []
+    monkeypatch.setattr(graphs, "strongly_connected", lambda mask: searches.append(mask) or True)
+    for h in (g.with_weights(np.full(30, 2.0)), assign_weights(g, "uniform"),
+              assign_weights(g, "random_interval", seed=1)):
+        assert searches == []
+        assert h.edges is g.edges and h.coords is g.coords
+        assert h.edge_index is g.edge_index and h.adjacency is g.adjacency
+        assert not h.weights.flags.writeable
+    assert np.array_equal(g.weights, np.ones(30))
+    MobilityGraph(g.n, g.edges, g.weights)  # a construction still searches
+    assert len(searches) == 1
+
+
+def test_reweighting_drops_the_old_weights_provenance(tmp_path):
+    plain = generate_ring_k(7, 1)
+    g = assign_weights(plain, "random_interval", seed=3)
+    assert g.meta == dict(plain.meta, weights_mode="random_interval", weights_lo=1.0,
+                          weights_hi=2.0, weights_seed=3)
+    # a re-weight used to keep weights_mode random_interval and weights_seed 3
+    h = g.with_weights(np.ones(7))
+    assert h.meta == plain.meta
+    save_graph(h, tmp_path / "h.json")
+    assert load_graph(tmp_path / "h.json").meta == plain.meta
+    assert assign_weights(g, "uniform").meta == dict(plain.meta, weights_mode="uniform")
+    assert g.meta["weights_seed"] == 3  # the source keeps its own
