@@ -29,7 +29,7 @@ from .graphs import (MobilityGraph, assign_weights, generate_grid_diag,
                      generate_random_geometric, generate_ring_k, load_graph, save_graph)
 # analyze is unused here, but perfbench/tracer.py wraps it as a global of this module
 from .markov import JsonRecord, analyze, read_json, write_json  # noqa: F401
-from .simulation import (TRACE_HORIZON_LIMIT, check_window, simulate_age_based,
+from .simulation import (TRACE_HORIZON_LIMIT, _check_run, simulate_age_based,
                          simulate_periodic, simulate_randomized)
 from .trajectory_design import (DesignResult, SolverOptions, build_fastest_mixing, build_mh,
                                 design_objective)
@@ -201,6 +201,8 @@ def cmd_graph(family, n, side, k, r, seed, weights_mode, lo, hi, weight_seed, ou
 @_cli_errors
 def cmd_design(graph_path, method, max_iterations, output):
     """Build a randomized trajectory and print its analytic age report."""
+    if method == "mh" and max_iterations is not None:
+        raise click.UsageError("--max-iterations applies to --method fastest only")
     g = load_graph(graph_path)
     if method == "mh":
         design = build_mh(g)
@@ -286,7 +288,6 @@ class ExperimentConfig(JsonRecord):
         if not (math.isfinite(self.rate_scale) and self.rate_scale > 0):
             raise click.UsageError(f"rate_scale must be a finite number > 0, "
                                    f"not {self.rate_scale!r}")
-        check_window(self.horizon, self.burn_in)  # a bad window is a validation error
         if self.policy == "periodic" and not self.sequence:
             raise click.UsageError("periodic policy needs a visit sequence")
         if self.output is None:
@@ -294,9 +295,6 @@ class ExperimentConfig(JsonRecord):
 
     def seed_list(self) -> list:
         return list(range(self.replications or 1)) if self.seeds is None else self.seeds
-
-    def resolve_graph(self) -> MobilityGraph:
-        return load_graph(self.graph) if isinstance(self.graph, str) else _family_graph(self.graph)
 
 
 # the options `simulate` and `disseminate` share; every option but --config is
@@ -319,12 +317,13 @@ def _experiment_options(fn):
     return functools.reduce(lambda f, option: option(f), reversed(_EXPERIMENT_OPTIONS), fn)
 
 
-def _experiment(flags: dict, policies=POLICIES, unread=()) -> ExperimentConfig:
-    """The config file (or the defaults) with every flag the user gave on top, validated.
+def _experiment(flags: dict, record: bool, policies=POLICIES, unread=()) -> tuple:
+    """(config, graph): the config file (or the defaults) with every flag on top, validated.
 
     `policies` are those the command runs; the first is its default.  The
     command never reads the keys in `unread` (nor has flags for them), so a
-    config file may leave them only at their defaults.
+    config file may leave them only at their defaults.  A bad window, start
+    terminal or recorded horizon is a validation error before any design is built.
     """
     cfg = ExperimentConfig.load(flags["config"]) if flags["config"] else ExperimentConfig()
     for f in fields(cfg):
@@ -339,7 +338,9 @@ def _experiment(flags: dict, policies=POLICIES, unread=()) -> ExperimentConfig:
         raise click.UsageError(f"config file {flags['config']}: policy must be one of "
                                f"{policies}, not {cfg.policy!r}")
     cfg.validate()
-    return cfg
+    g = load_graph(cfg.graph) if isinstance(cfg.graph, str) else _family_graph(cfg.graph)
+    _check_run(g, None, cfg.horizon, cfg.burn_in, cfg.start, record)
+    return cfg, g
 
 
 def _gathering_run(g, policy, sequence, horizon, burn_in, start, matrix, seed, record):
@@ -390,11 +391,10 @@ def _replicate(run, cfg: ExperimentConfig, record: bool):
 @_cli_errors
 def cmd_simulate(trace_path, **flags):
     """Run gathering simulations and write per-replication plus aggregate CSV rows."""
-    cfg = _experiment(flags, unread=("rate_scale", "report"))
+    cfg, g = _experiment(flags, unread=("rate_scale", "report"), record=bool(trace_path))
     if cfg.policy in ("age_based", "periodic"):
         # these walks draw no random numbers: every seed would repeat the first row
         cfg.seeds = cfg.seed_list()[:1]
-    g = cfg.resolve_graph()
     matrix = None
     if cfg.policy in ("mh", "fastest"):
         matrix = (build_mh(g) if cfg.policy == "mh" else build_fastest_mixing(g)).matrix
@@ -420,10 +420,12 @@ def cmd_simulate(trace_path, **flags):
 @_cli_errors
 def cmd_disseminate(design_path, events_path, **flags):
     """Run separation-policy dissemination and write CSV rows plus a bound report."""
-    cfg = _experiment(flags, policies=("separation",), unread=("sequence",))
-    g = cfg.resolve_graph()
+    cfg, g = _experiment(flags, policies=("separation",), unread=("sequence",),
+                         record=bool(events_path))
     design = (DesignResult.from_json(read_json(design_path)) if design_path
               else build_fastest_mixing(g))
+    # a design of another graph fails here, before separation_policy analyzes it
+    _check_run(g, design.matrix, cfg.horizon, cfg.burn_in, cfg.start, bool(events_path))
     policy = separation_policy(g, design=design)
     if cfg.rate_scale != 1.0:
         policy = policy_from_design(design, rates=policy.rates * cfg.rate_scale)

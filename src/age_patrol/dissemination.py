@@ -60,7 +60,7 @@ from .trajectory_design import DesignResult, build_fastest_mixing
 EVENT_CSV_FIELDS = ["t", "event", "terminal", "generated"]
 # the order of a slot's events in the event log
 _EVENT_ORDER = {"arrive": 0, "deliver": 1, "move": 2}
-# a queue backlog above this many packets triggers one QueueBacklogWarning per run
+# a queue holding more than this many packets after a visit triggers one warning per run
 QUEUE_WARNING_THRESHOLD = 1_000_000
 
 
@@ -233,16 +233,18 @@ def simulate_berg1_vacation(lam: float, service: DiscreteLaw, vacation: Discrete
     )
 
 
+def _slack(analysis: ChainAnalysis) -> np.ndarray:
+    """z_ii - pi_i = (pi_i^2 Var T_i + 1 - pi_i) / 2 per terminal, clamped to Var T_i >= 0."""
+    return np.maximum(analysis.z_diag - analysis.pi, (1.0 - analysis.pi) / 2.0)
+
+
 def terminal_age_upper_bound(analysis: ChainAnalysis, i, rho_i):
     """Dissemination age bound of terminal i (an index or an index array) at utilization rho_i."""
     rho_i = np.asarray(rho_i, dtype=float)
     # written so that a NaN utilization fails it
     if not np.all((rho_i > 0) & (rho_i < 1)):
         raise ValueError("rho_i must lie in (0, 1)")
-    pi_i = analysis.pi[i]
-    # z_ii - pi_i = (pi_i^2 Var T_i + 1 - pi_i) / 2, clamped to Var T_i >= 0
-    slack = np.maximum(analysis.z_diag[i] - pi_i, (1.0 - pi_i) / 2.0)
-    return (1.0 / rho_i + 1.0 + slack / (1.0 - rho_i)) / pi_i
+    return (1.0 / rho_i + 1.0 + _slack(analysis)[i] / (1.0 - rho_i)) / analysis.pi[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +285,7 @@ def policy_from_design(design: DesignResult, rates=None) -> DisseminationPolicy:
             raise NumericalError(
                 f"z_ii < pi_i by {-slack.min():.3e}: fundamental matrix looks corrupted")
         # pi_i times the utilization that minimizes the bound
-        rates = pi * (1.0 / (1.0 + np.sqrt(np.maximum(slack, 0.0))))
+        rates = pi * (1.0 / (1.0 + np.sqrt(_slack(design.analysis))))
     return DisseminationPolicy(design, rates)
 
 
@@ -355,9 +357,9 @@ class _Queues:
     def serve(self, visits: np.ndarray, t0: int) -> tuple:
         """Deliveries (terminal, slot, generated) of visits in slots t0, t0 + 1, ...
 
-        The deliveries come grouped by terminal; `delivered` is updated, and
-        the backlog is checked at every slot among them that 16,384 divides,
-        whatever the chunk size.
+        The deliveries come grouped by terminal and `delivered` is updated.
+        The first visit, in slot order, whose queue holds more than
+        QUEUE_WARNING_THRESHOLD packets just after it warns, once per run.
         """
         order, first, ids = _groups(visits)
         terminal = visits[order]
@@ -366,34 +368,28 @@ class _Queues:
         sizes = np.diff(np.append(first, len(slot)))
         run = np.repeat(np.arange(len(first)), sizes)
         k = np.arange(1, len(slot) + 1) - np.repeat(first, sizes)
-        arrived = np.searchsorted(self.keys, owner * self.stride + slot, side="right")
-        slack = arrived - self.offset[owner] - k
+        # the packets that have reached the visited queue by each visit
+        arrived = (np.searchsorted(self.keys, owner * self.stride + slot, side="right")
+                   - self.offset[owner])
+        slack = arrived - k
         slack[first] = np.minimum(slack[first], self.delivered[ids])
         # one running minimum over all terminals: lowering each run below the
         # one before by more than the spread of slack keeps the runs apart
         drop = run * (slack.max() - slack.min() + 1)
         total = k + np.minimum.accumulate(slack - drop) + drop
+        over = np.flatnonzero(arrived - total > QUEUE_WARNING_THRESHOLD)
+        if len(over) and not self.warned:
+            j = over[np.argmin(slot[over])]
+            # the warning points at the caller of simulate_dissemination
+            warnings.warn(f"queue {terminal[j]} holds {arrived[j] - total[j]} packets after its "
+                          f"visit in slot {slot[j]}, more than {QUEUE_WARNING_THRESHOLD}",
+                          QueueBacklogWarning, stacklevel=4)
+            self.warned = True
         before = np.roll(total, 1)
         before[first] = self.delivered[ids]
         hit = total > before
         self.delivered[ids] = total[np.append(first[1:], len(slot)) - 1]
-        terminal, slot = terminal[hit], slot[hit]
-        every = 1 << 14
-        n = len(self.delivered)
-        for s in range(-(-t0 // every) * every, t0 + len(visits), every):
-            arrived = np.searchsorted(self.keys, np.arange(n) * self.stride + s, side="right")
-            # the packets delivered by slot s exclude this chunk's later deliveries
-            backlog = (arrived - self.offset[:-1] - self.delivered
-                       + np.bincount(terminal[slot > s], minlength=n))
-            over = np.flatnonzero(backlog > QUEUE_WARNING_THRESHOLD)
-            if len(over) and not self.warned:
-                # the warning points at the caller of simulate_dissemination
-                warnings.warn(
-                    f"queue {over[0]} backlog {backlog[over[0]]} exceeds "
-                    f"{QUEUE_WARNING_THRESHOLD} at slot {s}; the system looks unstable",
-                    QueueBacklogWarning, stacklevel=4)
-                self.warned = True
-        return terminal, slot, self.generated[self.offset[owner[hit]] + total[hit] - 1]
+        return terminal[hit], slot[hit], self.generated[self.offset[owner[hit]] + total[hit] - 1]
 
 
 _MARGIN = 1.02  # Monte-Carlo slack on the hard dissemination checks

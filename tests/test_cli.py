@@ -392,6 +392,18 @@ def test_design_zero_max_iterations_runs_no_solver_iteration(runner, tmp_path):
     assert "(iterations 0, converged False)" in result.output
 
 
+def test_design_mh_rejects_max_iterations(runner, tmp_path):
+    # mh runs no solver, so the flag was ignored and the command exited 0
+    graph_path = tmp_path / "g.json"
+    invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", "1", "-o", str(graph_path)])
+    out = tmp_path / "d.json"
+    result = runner.invoke(main, ["design", "--graph", str(graph_path), "--method", "mh",
+                                  "--max-iterations", "5", "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--max-iterations" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["design", "reproduce"])
 def test_negative_iteration_count_is_usage_error(runner, tmp_path, command):
     # design exited 3 with numpy's "negative dimensions are not allowed"; reproduce
@@ -620,6 +632,41 @@ def test_negative_seed_is_usage_error(runner, tmp_path, monkeypatch, command, ro
     assert result.exit_code == 2, result.output
     assert "seeds must be >= 0" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["start", "periodic-start", "trace", "events", "design"])
+def test_a_bad_run_fails_before_any_design_is_built(runner, tmp_path, monkeypatch, case):
+    # the simulators' run check used to run only after a fastest-mixing solve, or
+    # after a loaded design's O(n^3) analysis; periodic ignored --start
+    for k in ("1", "2"):
+        invoke(runner, ["graph", "--family", "ring", "--n", "8", "--k", k,
+                        "-o", str(tmp_path / f"g{k}.json")])
+    design_path = tmp_path / "d2.json"
+    invoke(runner, ["design", "--graph", str(tmp_path / "g2.json"), "--method", "mh",
+                    "-o", str(design_path)])
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("a design was built or analyzed")
+
+    for name in ("build_mh", "build_fastest_mixing", "separation_policy", "policy_from_design"):
+        monkeypatch.setattr(cli, name, no_design)
+    out, log = tmp_path / "o.csv", tmp_path / "log.csv"
+    args, message = {
+        "start": (["simulate", "--policy", "fastest", "--start", "999", "--horizon", "100"],
+                  "start terminal out of range"),
+        "periodic-start": (["simulate", "--policy", "periodic", "--sequence", "0,1,2,3,4,5,6,7",
+                            "--start", "8", "--horizon", "80"], "start terminal out of range"),
+        "trace": (["simulate", "--horizon", "200000", "--trace", str(log)],
+                  "traces and event logs are limited"),
+        "events": (["disseminate", "--horizon", "200000", "--events", str(log)],
+                   "traces and event logs are limited"),
+        "design": (["disseminate", "--design", str(design_path), "--horizon", "1000"],
+                   "non-edges of the graph"),
+    }[case]
+    result = runner.invoke(main, args + ["--graph", str(tmp_path / "g1.json"), "-o", str(out)])
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert message in result.output
+    assert not out.exists() and not log.exists()
 
 
 def _counting(monkeypatch, name, seeds):

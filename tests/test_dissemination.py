@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -354,6 +355,18 @@ def test_terminal_bound_on_a_long_cycle_matches_its_closed_form():
     assert np.all(np.isfinite(policy_from_design(cycle).upper_bounds))
 
 
+def test_default_rates_minimize_the_bound_they_report_on_a_long_cycle():
+    # rounding puts z_ii - pi_i up to ulps below the bound's Var T_i >= 0 floor
+    # (1 - pi_i)/2 here, so the rate rule must clamp where the bound does
+    n = 200
+    cycle = DesignResult(TransitionMatrix(np.roll(np.eye(n), 1, axis=1)), np.full(n, 1 / n),
+                         None, 0, True)
+    pi, z = cycle.analysis.pi, cycle.analysis.z_diag
+    assert np.any(z - pi < (1.0 - pi) / 2.0)
+    minimizer = pi * (1.0 / (1.0 + np.sqrt(np.maximum(z - pi, (1.0 - pi) / 2.0))))
+    assert np.array_equal(policy_from_design(cycle).rates, minimizer)
+
+
 DESIGN_GRAPHS = {"geometric40": lambda: generate_random_geometric(40, 2.0 / math.sqrt(40), 1),
                  "grid16": lambda: generate_grid_diag(4), "ring21": lambda: generate_ring_k(21, 3)}
 
@@ -663,6 +676,33 @@ def test_dissemination_backlog_warning(k2, monkeypatch):
     policy = DisseminationPolicy(swap_design(), np.array([0.499, 0.499]))
     with pytest.warns(QueueBacklogWarning):
         simulate_dissemination(k2, policy, 200_000, seed=1)
+
+
+@pytest.mark.parametrize("horizon", [10_000, 16_383, 16_384, 20_000])
+def test_backlog_is_watched_at_every_visit_of_a_short_run(monkeypatch, horizon):
+    # a run shorter than one 16,384-slot walk chunk is watched too
+    g = generate_random_geometric(10, 0.6, seed=3)
+    design = build_mh(g)
+    policy = policy_from_design(design, rates=design.target_pi * 0.999)
+    monkeypatch.setattr(dissemination, "QUEUE_WARNING_THRESHOLD", 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, events = simulate_dissemination(g, policy, horizon, seed=7, record_events=True)
+    # replay the event log: the first visit whose queue holds more than 3 packets after it
+    cur, held, first = 0, np.zeros(g.n, dtype=int), None
+    for t, kind, terminal, _ in events:
+        if kind == "arrive":
+            held[terminal] += 1
+        elif kind == "deliver":
+            held[terminal] -= 1
+        else:  # the visit of slot t is over
+            if first is None and held[cur] > 3:
+                first = (cur, held[cur], t)
+            cur = terminal
+    assert first is not None and first[2] < 16_384
+    assert [(str(w.message), w.category) for w in caught] == [
+        (f"queue {first[0]} holds {first[1]} packets after its visit in slot {first[2]}, "
+         "more than 3", QueueBacklogWarning)]
 
 
 def test_dissemination_never_beats_gathering():
