@@ -26,6 +26,8 @@ from .errors import DisconnectedGraphError, GraphValidationError
 from .markov import JsonRecord, read_json, strongly_connected, write_json
 
 MAX_GEOMETRIC_ATTEMPTS = 100
+# candidate pairs per batch of `_pairs_within`, whose arrays then take about 0.5 MiB
+_PAIR_BATCH = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +118,34 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 
 
 def _pairs_within(pts: np.ndarray, r: float) -> tuple:
-    """Index arrays of the ordered pairs of distinct points at Euclidean distance <= r."""
-    # one coordinate at a time: two n x n float arrays, not an (n, n, 2) cube
-    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
-    dist *= dist
-    step = np.subtract.outer(pts[:, 1], pts[:, 1])
-    step *= step
-    dist += step
-    np.sqrt(dist, out=dist)
-    near = dist <= r
-    np.fill_diagonal(near, False)
-    return np.nonzero(near)
+    """Row-major index arrays of the ordered pairs of distinct points at distance <= r.
+
+    In the unit square, cells at least 1.01 r wide (m x m, m <= sqrt(n)) hold
+    a pair within r in the same or adjacent cells even after rounding.  Sorted
+    by cell, a point meets each point of those cells once: after it to the end
+    of the cell on its right, and in the three cells of the row above (past
+    the last key for the top row).  Batches of about `_PAIR_BATCH` pairs are
+    tested as a dense distance matrix would be.
+    """
+    n = len(pts)
+    m = max(1, math.isqrt(n) if 1.01 * r * math.isqrt(n) <= 1 else int(1 / (1.01 * r)))
+    cx, cy = np.minimum((pts * m).astype(np.intp), m - 1).T
+    order = np.argsort(cy * m + cx, kind="stable")
+    keys, right = (cy * m + cx)[order], np.minimum(cx + 1, m - 1)
+    starts = np.stack([np.argsort(order) + 1,
+                       np.searchsorted(keys, (cy + 1) * m + np.maximum(cx - 1, 0))], axis=1)
+    lengths = np.searchsorted(keys, [cy * m + right, (cy + 1) * m + right], side="right").T - starts
+    found = []
+    batch = max(1, _PAIR_BATCH // max(1, int(lengths.sum(axis=1).max())))  # points
+    for first in range(0, n, batch):
+        length = lengths[first:first + batch].ravel()
+        i = np.repeat(np.arange(2 * first, 2 * first + len(length)) // 2, length)
+        j = order[np.arange(len(i)) + np.repeat(
+            starts[first:first + batch].ravel() - np.cumsum(length) + length, length)]
+        near = np.sqrt((pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2) <= r
+        i, j = i[near], j[near]
+        found += [i * n + j, j * n + i]  # both orders, as row-major positions
+    return np.divmod(np.sort(np.concatenate(found)), n)
 
 
 def generate_random_geometric(n: int, r: float, seed: int) -> MobilityGraph:

@@ -23,9 +23,9 @@ eigensolver only when `ChainAnalysis.slem` is first read.
 Dense linear algebra throughout: instances stay small (n <= 2000), so
 exactly testable O(n^3) solves beat iterative machinery.  At n = 2000 an
 n x n float64 array is 30.5 MiB, so these routines keep no n x n
-temporary beyond what their LAPACK call needs: M is built in place, the
-residual check works a block of rows at a time from P, and elementwise
-steps write into an array the routine already holds.
+temporary beyond what their LAPACK call needs: Z and M are built in
+place, the residual check and the discrepancy work a block of rows at a
+time, and elementwise steps write into an array the routine already holds.
 
 Irreducibility is strong connectivity of the support digraph: `bfs_tree`,
 the one breadth-first search, walks a boolean mask a level at a time, and
@@ -60,11 +60,12 @@ _PERIODIC_EIGENVALUE_CUTOFF = 1.0 - 1e-9
 # and up to 3 with their closed-form pi
 _SYMMETRIC_INVERSE_ULPS = 64
 # the Cholesky inverse runs above this many terminals: on geometric MH chains
-# (BLAS on one thread) it took 2.2-2.6x the time of the LU inverse at n = 30 and
-# 1.07x at n = 100, but 0.44-0.65x at n = 150 and 0.44-0.59x at n = 300-1000
+# (BLAS on one thread) it took 2.5x the LU inverse's time at n = 30 and 1.0x at
+# n = 120-129, but 0.89x at n = 150, 0.76x at 200 and 0.47-0.54x at 300-2000
 _CHOLESKY_MIN_N = 128
-# rows at which the triangular inverse stops halving and calls np.linalg.inv
-_TRIANGULAR_LEAF_ROWS = 64
+# least columns of a panel of the Cholesky inverse, and of its diagonal blocks
+_PANEL = 128
+_LEAF_PANEL = 32
 # buckets of a row's guide table; a power of two, so int(u * _GUIDE_BUCKETS) is exact
 _GUIDE_BUCKETS = 256
 
@@ -341,8 +342,8 @@ def check_irreducible(P: TransitionMatrix) -> bool:
     return strongly_connected(P.support)
 
 
-# rows per block of the residual check, taken in breadth-first order of the
-# support so that a block's rows share most of their support
+# rows per block of the discrepancy and of the residual check, whose blocks go in
+# breadth-first order of the support so that a block's rows share most of their support
 _RESIDUAL_BLOCK_ROWS = 32
 
 
@@ -379,22 +380,41 @@ def _fundamental_residual(P: TransitionMatrix, pi: np.ndarray, z: np.ndarray) ->
     return float(np.max(worst))  # np.max, unlike max, keeps a NaN
 
 
-def _invert_lower(l: np.ndarray) -> None:
-    """Invert the lower-triangular l in place, by halves as LAPACK's trtri does.
+def _panels(n: int, width: int) -> list:
+    """(start, stop) of n // width panels of n rows or columns, at least one, as even as can be."""
+    count = max(1, n // width)
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
 
-    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]:
-    both diagonal halves are inverted first, then L21 is overwritten.
-    Blocks of at most `_TRIANGULAR_LEAF_ROWS` rows go to np.linalg.inv.
+
+def _invert_cholesky_factor(a: np.ndarray, width: int = _PANEL) -> bool:
+    """Overwrite the lower triangle of A = L L^T with X = L^-1; False if A is not positive definite.
+
+    Reads only the lower triangle; under 2 `_LEAF_PANEL` rows, np.linalg
+    factors and inverts it whole.  Else panels of about `width` columns go
+    left to right (A less L L^T of the panels before, the diagonal block
+    inverted so by `_LEAF_PANEL` panels, L21 = A21 X11^T), then right to left
+    as in LAPACK's trtri, X21 = -(X22 L21) X11 over X22's lower triangle.
     """
-    n = l.shape[0]
-    if n <= _TRIANGULAR_LEAF_ROWS:
-        l[...] = np.tril(np.linalg.inv(l))  # the LU solve may leave rounding above the diagonal
-        return
-    h = n // 2
-    _invert_lower(l[:h, :h])
-    _invert_lower(l[h:, h:])
-    l[h:, :h] = (l[h:, h:] @ l[h:, :h]) @ l[:h, :h]
-    np.negative(l[h:, :h], out=l[h:, :h])
+    if len(a) < 2 * _LEAF_PANEL:
+        try:
+            a[...] = np.linalg.inv(np.linalg.cholesky(a))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    panels = _panels(len(a), width)
+    for k0, k1 in panels:
+        if k0:
+            a[k0:, k0:k1] -= a[k0:, :k0] @ a[k0:k1, :k0].T
+        block = a[k0:k1, k0:k1]
+        if not _invert_cholesky_factor(block, _LEAF_PANEL):
+            return False
+        block[...] = np.tril(block)  # drops LU rounding and input above the diagonal
+        a[k1:, k0:k1] = a[k1:, k0:k1] @ block.T
+    for j, (k0, k1) in reversed(list(enumerate(panels[:-1]))):
+        for r0, r1 in reversed(panels[j + 1:]):
+            a[r0:r1, k0:k1] = a[r0:r1, k1:r1] @ a[k1:r1, k0:k1]
+        a[k1:, k0:k1] = a[k1:, k0:k1] @ -a[k0:k1, k0:k1]
+    return True
 
 
 def _reversible_inverse(p: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
@@ -403,35 +423,36 @@ def _reversible_inverse(p: np.ndarray, pi: np.ndarray) -> np.ndarray | None:
     D^1/2 M D^-1/2 = I - S + sqrt(pi) sqrt(pi)^T for S = D^1/2 P D^-1/2,
     which is symmetric exactly when P is reversible with stationary
     distribution pi.  When max|S - S^T| is at most `_SYMMETRIC_INVERSE_ULPS`
-    eps max|S|, np.linalg.cholesky, which reads only the lower triangle,
-    factors A = L L^T, the symmetric matrix on that triangle; A is within
-    half that asymmetry of I - (S + S^T)/2 + sqrt(pi) sqrt(pi)^T.  For an
+    eps max|S|, the Cholesky factor is taken of A, the symmetric matrix on
+    the lower triangle of I - S + sqrt(pi) sqrt(pi)^T; A is within half
+    that asymmetry of I - (S + S^T)/2 + sqrt(pi) sqrt(pi)^T.  For an
     irreducible reversible chain A is positive definite: the eigenvalues
     1 - lambda of I - S are positive except on sqrt(pi), a unit vector,
-    which A maps to itself.  With l = L^-1, Z = D^-1/2 l^T l D^1/2.
+    which A maps to itself.  With X = L^-1, Z = D^-1/2 X^T X D^1/2.  One
+    array holds -S, A, L, X and Z in turn; the symmetry test and X^T X
+    (n^3/3 flops, then mirrored) go by row panels.
     """
+    n = p.shape[0]
     root = np.sqrt(pi)
-    a = np.multiply(p, root[:, None])  # a holds S until A overwrites it
+    a = np.multiply(p, -root[:, None])  # a holds -S until A overwrites its lower triangle
     a /= root[None, :]
-    gap = np.subtract(a, a.T)
-    np.abs(gap, out=gap)
-    if not gap.max() <= _SYMMETRIC_INVERSE_ULPS * np.finfo(float).eps * a.max():
+    limit = _SYMMETRIC_INVERSE_ULPS * np.finfo(float).eps * -a.min()
+    a.flat[::n + 1] += 1.0
+    for i0, i1 in _panels(n, _PANEL):
+        row = a[i0:i1, :i1]
+        gap = np.subtract(row, a[:i1, i0:i1].T)  # the columns above are not yet overwritten
+        if not np.abs(gap, out=gap).max() <= limit:
+            return None
+        row += np.multiply.outer(root[i0:i1], root[:i1], out=gap)
+        del gap  # before the next panel's is allocated
+    if not _invert_cholesky_factor(a):
         return None
-    del gap
-    np.negative(a, out=a)
-    a.flat[::p.shape[0] + 1] += 1.0
-    a += np.outer(root, root)
-    try:
-        l = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    del a
-    _invert_lower(l)
-    z = l.T @ l  # numpy runs a product of an array with its transpose as one syrk
-    del l
-    z /= root[:, None]
-    z *= root[None, :]
-    return z
+    for i0, i1 in _panels(n, _PANEL):  # X^T X reads only the rows of X from i0 on
+        a[i0:i1, :i1] = a[i0:, i0:i1].T @ a[i0:, :i1]
+        a[:i0, i0:i1] = a[i0:i1, :i0].T
+    a /= root[:, None]
+    a *= root[None, :]
+    return a
 
 
 def _detailed_balance(P: TransitionMatrix) -> np.ndarray | None:
@@ -494,11 +515,11 @@ def fundamental_matrix(P: TransitionMatrix, pi: np.ndarray) -> np.ndarray:
 
     Above 128 terminals, a chain whose S = D^1/2 P D^-1/2 is symmetric to
     rounding level (a reversible chain with its stationary pi) takes the
-    Cholesky inverse of `_reversible_inverse`, in about 0.6x the LU
-    inverse's time with the same forward error.  Every other chain, every
-    chain of at most 128 terminals (where the LU inverse is as fast or
-    faster) and a system the factorisation finds not positive definite
-    take the LU inverse of M = I - P + 1 pi^T.  Either Z must pass
+    in-place Cholesky inverse of `_reversible_inverse`, in 0.9x (n = 150) to
+    0.5x (n = 300-2000) the LU inverse's time with its forward error.  Every
+    other chain, every chain of at most 128 terminals (where the LU inverse
+    is as fast or faster) and a system the factorisation finds not positive
+    definite take the LU inverse of M = I - P + 1 pi^T.  Either Z must pass
     max|M Z - I| <= TOL.fundamental_residual, checked on the support of P
     by `_fundamental_residual`, or a NumericalError reports the residual.
     """
@@ -554,12 +575,12 @@ def analyze(P: TransitionMatrix, pi: np.ndarray | None = None) -> ChainAnalysis:
         if not check_irreducible(P):
             raise ReducibleChainError("chain is reducible")
     z = fundamental_matrix(P, pi)  # checks that pi is stationary for P
-    deviation = np.subtract(z, pi[None, :])
     return ChainAnalysis(
         matrix=P,
         pi=pi,
         z=z,
         z_diag=np.diag(z).copy(),
-        discrepancy=float(np.abs(deviation, out=deviation).sum(axis=1).max()),
+        discrepancy=float(np.max([np.abs(z[i:i + _RESIDUAL_BLOCK_ROWS] - pi).sum(axis=1).max()
+                                  for i in range(0, P.n, _RESIDUAL_BLOCK_ROWS)])),
     )
 

@@ -72,6 +72,22 @@ def random_connected_graph(n, seed):
     return MobilityGraph(n, edges, np.ones(n))
 
 
+def dense_pairs_within(pts, r):
+    """Oracle for graphs._pairs_within: row-major pairs of a full n x n distance matrix.
+
+    The arithmetic `_pairs_within` must reproduce exactly: (dx^2 + dy^2)^1/2 <= r.
+    """
+    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
+    dist *= dist
+    step = np.subtract.outer(pts[:, 1], pts[:, 1])
+    step *= step
+    dist += step
+    np.sqrt(dist, out=dist)
+    near = dist <= r
+    np.fill_diagonal(near, False)
+    return np.nonzero(near)
+
+
 def list_bfs_tree(adjacency, source):
     """Reference breadth-first search: a first-in first-out queue over adjacency lists.
 

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from age_patrol import (DisconnectedGraphError, GraphValidationError, MobilityGraph,
                         assign_weights, generate_grid_diag, generate_random_geometric,
                         generate_ring_k, graphs, load_graph, save_graph)
 from age_patrol.cli import EXIT_VALIDATION, main
+from conftest import dense_pairs_within
 
 
 def test_geometric_two_nodes_full_radius_is_complete():
@@ -57,6 +60,44 @@ def test_geometric_matches_reference_at_scale_radius():
     expected = {(i, j) for i in range(n) for j in range(n)
                 if i != j and math.dist(pts[i], pts[j]) <= r}
     assert set(g.edges) == expected
+
+
+@st.composite
+def points_and_radius(draw):
+    """Up to 60 points in the unit square, some on a 1/k lattice, and a radius.
+
+    The radii include 0, sqrt(2), 1/k exactly (so lattice points sit on cell
+    edges and at distance exactly r) and 1/m for the m x m cells a radius
+    just above 1/(1.01 m) gets.
+    """
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, 12))
+    lattice = st.integers(0, k).map(lambda i: i / k)
+    coordinate = st.one_of(lattice, st.floats(0.0, 1.0, exclude_max=True))
+    pts = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)))
+    r = draw(st.one_of(st.sampled_from([0.0, math.sqrt(2), 1.0 / k, 1.0 / (1.01 * k)]),
+                       st.floats(0.0, math.sqrt(2))))
+    return pts, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_and_radius())
+def test_cell_search_finds_the_pairs_of_the_distance_matrix(case):
+    pts, r = case
+    found = graphs._pairs_within(pts, r)
+    expected = dense_pairs_within(pts, r)
+    assert [side.tolist() for side in found] == [side.tolist() for side in expected]
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.0), (2, math.sqrt(2)), (600, 2.0 / math.sqrt(600)),
+                                  (2000, 2.0 / math.sqrt(2000)), (300, math.sqrt(2)),
+                                  (500, 0.1), (1000, 1.0 / 3.0)])
+def test_cell_search_equals_the_distance_matrix_on_random_points(n, r):
+    # (300, sqrt(2)) is one cell, so every pair is a candidate, in many batches
+    for seed in range(3):
+        pts = np.random.default_rng(seed).random((n, 2))
+        found, expected = graphs._pairs_within(pts, r), dense_pairs_within(pts, r)
+        assert [side.tolist() for side in found] == [side.tolist() for side in expected]
 
 
 def test_edge_index_lists_every_edge_in_row_major_order():

@@ -229,22 +229,60 @@ def factorisations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def inverses(monkeypatch):
+    """The order of each matrix np.linalg.inv inverts in the test."""
+    orders = []
+    original = np.linalg.inv
+
+    def counted(a):
+        orders.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return orders
+
+
 def mh_chain(g, seed):
     return build_mh(assign_weights(g, "random_interval", seed=seed)).matrix
 
 
-@pytest.mark.parametrize("make", [
-    lambda: mh_chain(generate_ring_k(1000, 3), seed=4),
-    lambda: mh_chain(generate_random_geometric(600, 2.0 / math.sqrt(600), seed=1), seed=2),
-], ids=["ring-1000-k3", "geometric-600"])
-def test_large_reversible_chains_take_the_cholesky_inverse(make, factorisations):
+# one panel (n = 129) and several, of equal width (300, 600, 1001 = 7 x 143) or not
+# (1000, 2000); markov._PANEL is 128 columns.  M is far worse
+# conditioned on ring-2000-k1 (condition number 4.3e5) than on the others, and
+# both the LU inverse and a Cholesky inverse are only that accurate: with BLAS on
+# one thread, the diagonal of the single-call Cholesky inverse this route replaced
+# read 1.0-2.7e-12 from the LU inverse's on five weight seeds, and this one 1.1-2.8e-12
+@pytest.mark.parametrize("make, tol", [
+    (lambda: mh_chain(generate_ring_k(1000, 3), seed=4), 1e-12),
+    (lambda: mh_chain(generate_random_geometric(600, 2 / math.sqrt(600), seed=1), seed=2), 1e-12),
+    (lambda: mh_chain(random_connected_graph(129, seed=3), seed=3), 1e-12),
+    (lambda: mh_chain(generate_random_geometric(300, 2 / math.sqrt(300), seed=3), seed=4), 1e-12),
+    (lambda: mh_chain(generate_ring_k(1001, 2), seed=5), 1e-12),
+    (lambda: mh_chain(generate_ring_k(2000, 1), seed=9), 5e-12),
+], ids=["ring-1000-k3", "geometric-600", "reversible-129", "geometric-300", "ring-1001-k2",
+        "ring-2000-k1"])
+def test_large_reversible_chains_take_the_cholesky_inverse(make, tol, factorisations, inverses):
     P = make()
     pi = stationary_distribution(P)
     z = fundamental_matrix(P, pi)
-    assert len(factorisations) == 1
+    assert factorisations and P.n not in inverses  # the Cholesky route ran, the LU inverse did not
     reference = np.diag(np.linalg.inv(_fundamental_system(P.p, pi)))
-    assert np.max(np.abs(np.diag(z) - reference) / reference) <= 1e-12
+    assert np.max(np.abs(np.diag(z) - reference) / reference) <= tol
     assert np.max(np.abs(z.sum(axis=1) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 127, 128, 129, 256, 300])
+def test_the_cholesky_factor_is_inverted_in_place_from_the_lower_triangle(n):
+    # the upper triangle holds NaN, so reading any entry of it would show in the result
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    spd = x @ x.T / n + np.eye(n)
+    a = np.tril(spd) + np.triu(np.full((n, n), np.nan), 1)
+    assert markov._invert_cholesky_factor(a)
+    reference = np.linalg.inv(np.linalg.cholesky(spd))
+    lower = np.tril_indices(n)
+    assert np.allclose(a[lower], reference[lower], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("make", [
@@ -268,6 +306,29 @@ def test_a_failed_factorisation_takes_the_lu_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", not_definite)
     reference = np.linalg.inv(_fundamental_system(P.p, pi))
     assert fundamental_matrix(P, pi).tolist() == reference.tolist()
+
+
+# n = 400 takes three panels of 133-134 columns, each factored in four panels of
+# 33-34: the third call fails in the first panel, the sixth in the second, the
+# twelfth in the last
+@pytest.mark.parametrize("failing_call", [3, 6, 12])
+def test_a_factorisation_failing_on_a_later_panel_takes_the_lu_inverse(monkeypatch,
+                                                                        failing_call):
+    original = np.linalg.cholesky
+    calls = []
+
+    def fails_once(a):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return original(a)
+
+    P = mh_chain(generate_ring_k(400, 2), seed=8)
+    pi = stationary_distribution(P)
+    monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+    z = fundamental_matrix(P, pi)
+    assert len(calls) == failing_call
+    assert z.tolist() == np.linalg.inv(_fundamental_system(P.p, pi)).tolist()
 
 
 def test_return_time_moments_two_cycle(swap_matrix):
